@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace obd::atpg {
 namespace {
@@ -10,16 +11,13 @@ using logic::Gate;
 using logic::GateType;
 using logic::Tri;
 
-/// 3-valued evaluation with one net optionally forced (the faulty circuit).
-void eval3_forced(const Circuit& c, const std::vector<Tri>& pi,
-                  NetId forced_net, Tri forced_value,
+/// 3-valued evaluation from all-X primary inputs — the state every search
+/// starts from — with one net optionally forced (the faulty circuit).
+void eval3_forced(const Circuit& c, NetId forced_net, Tri forced_value,
                   std::vector<Tri>* values) {
   values->assign(c.num_nets(), Tri::kX);
-  for (std::size_t i = 0; i < c.inputs().size(); ++i) {
-    const NetId n = c.inputs()[i];
-    (*values)[static_cast<std::size_t>(n)] =
-        (n == forced_net) ? forced_value : pi[i];
-  }
+  for (const NetId n : c.inputs())
+    if (n == forced_net) (*values)[static_cast<std::size_t>(n)] = forced_value;
   Tri ins[8];
   for (int g : c.topo_order()) {
     const Gate& gate = c.gate(g);
@@ -31,6 +29,14 @@ void eval3_forced(const Circuit& c, const std::vector<Tri>& pi,
   }
 }
 
+/// One search. Good and faulty values are evaluated in full once, up front;
+/// after that every decision, flip, or pop touches one PI and re-implies
+/// only the gates its change reaches (through Circuit::fanout_of, in
+/// level order), logging each overwritten (good, faulty) pair on a trail.
+/// A decision remembers the trail length it started at, so undoing it is
+/// popping the trail back to that mark — no re-simulation. The values at
+/// every step are exactly what a full re-evaluation would give, so the
+/// decisions, verdicts, and effort counters are too.
 class Engine {
  public:
   Engine(const Circuit& c, std::vector<NetConstraint> constraints,
@@ -41,16 +47,31 @@ class Engine {
         fault_(fault),
         require_propagation_(require_propagation),
         opt_(opt),
-        pi_(c.inputs().size(), Tri::kX) {
+        level_(c.gate_levels()),
+        queued_(c.num_gates(), 0),
+        pi_of_net_(c.num_nets(), -1) {
     if (opt_.time_budget_s > 0.0)
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(opt_.time_budget_s));
+    int depth = 0;
+    for (int l : level_) depth = std::max(depth, l);
+    buckets_.resize(static_cast<std::size_t>(depth) + 1);
+    for (std::size_t i = 0; i < c.inputs().size(); ++i)
+      pi_of_net_[static_cast<std::size_t>(c.inputs()[i])] =
+          static_cast<int>(i);
+    if (fault_ && require_propagation_) collect_fault_cone();
   }
 
   PodemResult run() {
     PodemResult result;
-    imply();
+    ++implications_;
+    eval3_forced(c_, logic::kNoNet, Tri::kX, &good_);
+    if (fault_) {
+      eval3_forced(c_, fault_->net, logic::tri_of(fault_->value), &faulty_);
+    } else {
+      faulty_ = good_;
+    }
     for (;;) {
       if (conflicted()) {
         if (!backtrack()) {
@@ -84,9 +105,9 @@ class Engine {
         }
         continue;
       }
-      decisions_.push_back(Decision{pi_choice->first, pi_choice->second, false});
-      pi_[pi_choice->first] = logic::tri_of(pi_choice->second);
-      imply();
+      decisions_.push_back(Decision{pi_choice->first, pi_choice->second,
+                                    false, trail_.size()});
+      assign(pi_choice->first, logic::tri_of(pi_choice->second));
     }
     if (result.status == PodemStatus::kAborted) result.reason = reason_;
     result.backtracks = backtracks_;
@@ -99,16 +120,96 @@ class Engine {
     std::size_t pi;
     bool value;
     bool flipped;
+    std::size_t mark;  ///< trail length before this decision was implied
   };
 
-  void imply() {
+  /// A net's values before an implication overwrote them.
+  struct TrailEntry {
+    NetId net;
+    Tri good;
+    Tri faulty;
+  };
+
+  /// Gates in the fault net's transitive fanout, by ascending index: the
+  /// only gates that can ever hold a differing input.
+  void collect_fault_cone() {
+    std::vector<char> seen(c_.num_gates(), 0);
+    std::vector<NetId> stack{fault_->net};
+    while (!stack.empty()) {
+      const NetId n = stack.back();
+      stack.pop_back();
+      for (int gi : c_.fanout_of(n)) {
+        if (seen[static_cast<std::size_t>(gi)]) continue;
+        seen[static_cast<std::size_t>(gi)] = 1;
+        cone_.push_back(gi);
+        stack.push_back(c_.gate(gi).output);
+      }
+    }
+    std::sort(cone_.begin(), cone_.end());
+  }
+
+  /// Sets PI `i` and implies the change through its fanout: one
+  /// implication. The faulty copy of a faulted PI stays pinned.
+  void assign(std::size_t i, Tri v) {
     ++implications_;
-    eval3_forced(c_, pi_, logic::kNoNet, Tri::kX, &good_);
-    if (fault_) {
-      eval3_forced(c_, pi_, fault_->net, logic::tri_of(fault_->value),
-                   &faulty_);
-    } else {
-      faulty_ = good_;
+    const NetId n = c_.inputs()[i];
+    set_net(n, v, fault_ && n == fault_->net ? faulty_of(n) : v);
+    for (int l = lo_; l <= hi_; ++l) {
+      std::vector<int>& bucket = buckets_[static_cast<std::size_t>(l)];
+      // Fanout gates sit at strictly higher levels, so this bucket does
+      // not grow while it is being drained.
+      for (const int gi : bucket) {
+        queued_[static_cast<std::size_t>(gi)] = 0;
+        eval_gate(gi);
+      }
+      bucket.clear();
+    }
+    lo_ = std::numeric_limits<int>::max();
+    hi_ = 0;
+  }
+
+  void eval_gate(int gi) {
+    const Gate& g = c_.gate(gi);
+    Tri gin[8];
+    Tri fin[8];
+    bool same = true;
+    for (std::size_t k = 0; k < g.inputs.size(); ++k) {
+      gin[k] = good_of(g.inputs[k]);
+      fin[k] = faulty_of(g.inputs[k]);
+      same = same && gin[k] == fin[k];
+    }
+    const Tri gv = logic::gate_eval3(g.type, gin);
+    Tri fv = gv;
+    if (fault_ && g.output == fault_->net) fv = logic::tri_of(fault_->value);
+    else if (!same) fv = logic::gate_eval3(g.type, fin);
+    set_net(g.output, gv, fv);
+  }
+
+  /// Writes a net's (good, faulty) pair, logging the old one and queueing
+  /// the readers when either value changes.
+  void set_net(NetId n, Tri g, Tri f) {
+    const auto idx = static_cast<std::size_t>(n);
+    if (good_[idx] == g && faulty_[idx] == f) return;
+    trail_.push_back(TrailEntry{n, good_[idx], faulty_[idx]});
+    good_[idx] = g;
+    faulty_[idx] = f;
+    for (int gi : c_.fanout_of(n)) {
+      if (queued_[static_cast<std::size_t>(gi)]) continue;
+      queued_[static_cast<std::size_t>(gi)] = 1;
+      const int l = level_[static_cast<std::size_t>(gi)];
+      buckets_[static_cast<std::size_t>(l)].push_back(gi);
+      lo_ = std::min(lo_, l);
+      hi_ = std::max(hi_, l);
+    }
+  }
+
+  /// Restores every net written since the trail had `mark` entries.
+  void undo_to(std::size_t mark) {
+    while (trail_.size() > mark) {
+      const TrailEntry& e = trail_.back();
+      good_[static_cast<std::size_t>(e.net)] = e.good;
+      faulty_[static_cast<std::size_t>(e.net)] = e.faulty;
+      trail_.pop_back();
     }
   }
 
@@ -134,18 +235,18 @@ class Engine {
   }
 
   /// D-frontier: gates with a differing input whose output is not yet
-  /// fully determined-equal.
+  /// fully determined-equal, by ascending gate index.
   std::vector<int> d_frontier() const {
     std::vector<int> out;
-    for (std::size_t gi = 0; gi < c_.num_gates(); ++gi) {
-      const Gate& g = c_.gate(static_cast<int>(gi));
+    for (const int gi : cone_) {
+      const Gate& g = c_.gate(gi);
       if (diff(g.output)) continue;
       const bool blocked = good_of(g.output) != Tri::kX &&
                            faulty_of(g.output) != Tri::kX;
       if (blocked) continue;
       for (NetId in : g.inputs)
         if (diff(in)) {
-          out.push_back(static_cast<int>(gi));
+          out.push_back(gi);
           break;
         }
     }
@@ -229,10 +330,9 @@ class Engine {
       const int drv = c_.driver_of(n);
       if (drv < 0) {
         // PI (or floating net: then it is not a PI and cannot be set).
-        for (std::size_t i = 0; i < c_.inputs().size(); ++i)
-          if (c_.inputs()[i] == n)
-            return std::make_pair(i, v);
-        return std::nullopt;
+        const int pi = pi_of_net_[static_cast<std::size_t>(n)];
+        if (pi < 0) return std::nullopt;
+        return std::make_pair(static_cast<std::size_t>(pi), v);
       }
       const Gate& g = c_.gate(drv);
       // Choose an undetermined input and a value that can still produce v.
@@ -272,9 +372,13 @@ class Engine {
     return false;
   }
 
+  /// Flips the deepest unflipped decision (popping flipped ones above it).
+  /// Undo is a trail rewind; the flip is one implication. Exhausting the
+  /// tree counts one more implication, the reset to the all-X state.
   bool backtrack() {
     while (!decisions_.empty()) {
       Decision& d = decisions_.back();
+      undo_to(d.mark);
       if (!d.flipped) {
         d.flipped = true;
         ++backtracks_;
@@ -283,32 +387,33 @@ class Engine {
           reason_ = AbortReason::kBacktracks;
           return false;
         }
-        // One clock read per backtrack is noise next to the full 3-valued
-        // re-evaluation each backtrack already pays in imply().
+        // One clock read per backtrack: an abort must not wait for the
+        // search to end, and the read is cheap next to the flip's
+        // implication through the PI's fanout cone.
         if (deadline_ && std::chrono::steady_clock::now() > *deadline_) {
           aborted_ = true;
           reason_ = AbortReason::kTime;
           return false;
         }
-        pi_[d.pi] = logic::tri_of(!d.value);
-        imply();
+        assign(d.pi, logic::tri_of(!d.value));
         return true;
       }
-      pi_[d.pi] = Tri::kX;
       decisions_.pop_back();
     }
-    imply();
+    ++implications_;
     return false;
   }
 
   TestVector make_vector() const {
     TestVector v;
-    for (std::size_t i = 0; i < pi_.size(); ++i) {
-      if (pi_[i] == Tri::kX) {
+    for (std::size_t i = 0; i < c_.inputs().size(); ++i) {
+      // A PI's good value is exactly its assignment (X when undecided).
+      const Tri t = good_of(c_.inputs()[i]);
+      if (t == Tri::kX) {
         if (opt_.fill_value) v.bits.set_bit(i);
       } else {
         v.care_mask.set_bit(i);
-        if (pi_[i] == Tri::k1) v.bits.set_bit(i);
+        if (t == Tri::k1) v.bits.set_bit(i);
       }
     }
     return v;
@@ -319,9 +424,16 @@ class Engine {
   std::optional<StuckFault> fault_;
   bool require_propagation_;
   PodemOptions opt_;
-  std::vector<Tri> pi_;
   std::vector<Tri> good_;
   std::vector<Tri> faulty_;
+  std::vector<int> level_;                 ///< per gate (Circuit::gate_levels)
+  std::vector<std::vector<int>> buckets_;  ///< queued gates, by level
+  std::vector<char> queued_;               ///< per gate: in a bucket
+  int lo_ = std::numeric_limits<int>::max();  ///< lowest non-empty bucket
+  int hi_ = 0;                                ///< highest non-empty bucket
+  std::vector<TrailEntry> trail_;
+  std::vector<int> pi_of_net_;  ///< PI index of a net, -1 if not a PI
+  std::vector<int> cone_;       ///< fault-net fanout gates, ascending
   std::vector<Decision> decisions_;
   long backtracks_ = 0;
   long implications_ = 0;

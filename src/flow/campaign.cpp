@@ -240,6 +240,8 @@ void drive_ctx(const detail::CampaignContext& ctx, const CampaignOptions& opt,
         }
       }
       const TwoFrameResult res = ctx.generate(i);
+      r.podem_implications += res.implications;
+      r.podem_backtracks += res.backtracks;
       switch (res.status) {
         case PodemStatus::kFound:
           tests.push_back(res.test);
@@ -488,6 +490,8 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       t.status = pr.status;
       t.reason = pr.reason;
       t.test = TwoVectorTest{pr.vector.bits, pr.vector.bits};
+      t.backtracks = pr.backtracks;
+      t.implications = pr.implications;
       return t;
     };
     ctx.matrix = [data, patterns_of](FaultSimScheduler& s,
@@ -781,6 +785,9 @@ std::string report_json(const CampaignReport& r) {
        ", \"ndetect_satisfied\": " + std::to_string(r.ndetect_satisfied) +
        ", \"ndetect_pruned_untestable\": " +
        std::to_string(r.ndetect_pruned_untestable) + "},\n";
+  j += "  \"podem\": {\"implications\": " +
+       std::to_string(r.podem_implications) +
+       ", \"backtracks\": " + std::to_string(r.podem_backtracks) + "},\n";
   if (r.shards > 0) {
     j += "  \"shards\": {\"count\": " + std::to_string(r.shards) +
          ", \"retries\": " + std::to_string(r.shard_retries) +
@@ -914,6 +921,9 @@ void print_report(const CampaignReport& r) {
                       ? "  (backtracks " + std::to_string(r.aborted_backtracks) +
                             ", time " + std::to_string(r.aborted_time) + ")"
                       : "")});
+  t.add_row({"PODEM implications / backtracks",
+             std::to_string(r.podem_implications) + " / " +
+                 std::to_string(r.podem_backtracks)});
   if (r.sat_detected + r.sat_untestable + r.sat_unknown > 0) {
     t.add_row({"SAT cubes / proofs / unknown",
                std::to_string(r.sat_detected) + " / " +

@@ -166,6 +166,13 @@ struct CampaignReport {
   /// escalation (deterministic order: ascending representative index).
   std::vector<std::string> aborted_faults;
 
+  /// PODEM effort summed over every top-off search (both frames of a
+  /// two-vector model; see PodemResult). Deterministic per configuration,
+  /// so a sharded merge sums to the one-shot totals — except that a
+  /// resumed time-budget abort adds its re-attempt to the first try.
+  long long podem_implications = 0;
+  long long podem_backtracks = 0;
+
   /// Prepass tests that first-detected some fault (the ones kept).
   int tests_random = 0;
   int tests_deterministic = 0;

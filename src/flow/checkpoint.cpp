@@ -230,6 +230,9 @@ std::string encode_checkpoint(const ShardState& s) {
   put_u64(payload, static_cast<std::uint64_t>(s.sat_decisions));
   put_u64(payload, static_cast<std::uint64_t>(s.sat_restarts));
   for (const std::uint64_t b : s.sat_hist) put_u64(payload, b);
+  // Version 4: PODEM effort totals.
+  put_u64(payload, static_cast<std::uint64_t>(s.podem_implications));
+  put_u64(payload, static_cast<std::uint64_t>(s.podem_backtracks));
 
   put_u32(payload, static_cast<std::uint32_t>(s.useful_pool.size()));
   for (std::uint32_t t : s.useful_pool) put_u32(payload, t);
@@ -359,6 +362,15 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
         *err = "checkpoint payload truncated in sat histogram";
         return false;
       }
+  }
+  if (version >= 4) {
+    std::uint64_t implications = 0, backtracks = 0;
+    if (!r.u64(&implications) || !r.u64(&backtracks)) {
+      *err = "checkpoint payload truncated in podem-effort fields";
+      return false;
+    }
+    s.podem_implications = static_cast<long long>(implications);
+    s.podem_backtracks = static_cast<long long>(backtracks);
   }
   if (phase < static_cast<std::uint8_t>(ShardPhase::kPrepassDone) ||
       phase > static_cast<std::uint8_t>(ShardPhase::kDone)) {

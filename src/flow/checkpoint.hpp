@@ -10,10 +10,11 @@
 // (the fault-sim layer's determinism contract makes "resume == rerun" a
 // checkable property via matrix_hash).
 //
-// On-disk format (version 3, little-endian; version 2 added the SAT
+// On-disk format (version 4, little-endian; version 2 added the SAT
 // escalation statuses and the sat_conflicts counter; version 3 extends the
 // SAT accounting with decisions, restarts, and the per-fault conflict
-// histogram — version 2 files still load, with those fields zero):
+// histogram; version 4 adds the PODEM effort totals — version 2 and 3
+// files still load, with the fields they lack zero):
 //
 //   magic   "OBDCKPT\n"          8 bytes
 //   version u32                  kCheckpointVersion
@@ -48,7 +49,7 @@
 
 namespace obd::flow {
 
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 /// Oldest on-disk version decode_checkpoint still accepts. Fields added
 /// after a version are zero-initialized when loading an older file.
 inline constexpr std::uint32_t kMinCheckpointVersion = 2;
@@ -104,6 +105,11 @@ struct ShardState {
   long long sat_restarts = 0;
   /// Conflicts-per-escalated-fault log2 buckets (obs::log2_bucket).
   std::array<std::uint64_t, 32> sat_hist{};
+  /// PODEM effort of this shard's committed top-off searches (merged into
+  /// CampaignReport::podem_implications / podem_backtracks). Version-4
+  /// fields: zero when loading an older checkpoint.
+  long long podem_implications = 0;
+  long long podem_backtracks = 0;
   /// Prepass pool indices that first-detected some assigned fault
   /// (strictly increasing).
   std::vector<std::uint32_t> useful_pool;

@@ -233,6 +233,8 @@ ShardRunResult run_campaign_shard(const logic::SequentialCircuit& seq,
       escalate(j);
     } else {
       const TwoFrameResult res = ctx.generate(global_of(j));
+      s.podem_implications += res.implications;
+      s.podem_backtracks += res.backtracks;
       switch (res.status) {
         case PodemStatus::kFound:
           s.status[j] = FaultStatus::kTestFound;

@@ -107,6 +107,8 @@ void merge_states(const detail::CampaignContext& ctx,
     r.sat_conflicts += s->sat_conflicts;
     r.sat_decisions += s->sat_decisions;
     r.sat_restarts += s->sat_restarts;
+    r.podem_implications += s->podem_implications;
+    r.podem_backtracks += s->podem_backtracks;
     for (std::size_t k = 0; k < s->sat_hist.size(); ++k)
       r.sat_conflicts_hist[k] += s->sat_hist[k];
     for (std::size_t j = 0; j < s->status.size(); ++j) {

@@ -131,7 +131,9 @@ GateType nor_of(std::size_t n) {
 /// carries that gate's fault sites.
 void build_gate(Circuit& c, FreshNets& fresh, const std::string& func,
                 const std::vector<NetId>& ins, NetId out) {
-  const std::string& name = c.net_name(out);
+  // A copy, not a reference: reduce_tree adds fresh nets, which can
+  // reallocate the circuit's net-name storage.
+  const std::string name = c.net_name(out);
   const std::size_t n = ins.size();
   auto halves = [&](GateType pair_type) {
     // Two balanced sub-trees feeding a 2-input root.

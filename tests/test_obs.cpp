@@ -303,6 +303,8 @@ TEST(CheckpointV3, SatDetailRoundTrips) {
   s.sat_hist[0] = 1;
   s.sat_hist[5] = 7;
   s.sat_hist[31] = 2;
+  s.podem_implications = 123456789012ll;  // version-4 fields
+  s.podem_backtracks = 4321;
 
   const fs::path dir = fs::temp_directory_path() / "obd_obs_test";
   fs::create_directories(dir);
@@ -315,6 +317,8 @@ TEST(CheckpointV3, SatDetailRoundTrips) {
   EXPECT_EQ(back.sat_decisions, 2000);
   EXPECT_EQ(back.sat_restarts, 30);
   EXPECT_EQ(back.sat_hist, s.sat_hist);
+  EXPECT_EQ(back.podem_implications, s.podem_implications);
+  EXPECT_EQ(back.podem_backtracks, s.podem_backtracks);
   std::remove(path.c_str());
 }
 

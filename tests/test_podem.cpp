@@ -3,8 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "atpg/collapse.hpp"
 #include "atpg/faultsim.hpp"
+#include "atpg/twoframe.hpp"
+#include "io/bench.hpp"
 #include "logic/zoo.hpp"
+#include "util/prng.hpp"
 
 namespace obd::atpg {
 namespace {
@@ -177,6 +185,189 @@ TEST(Podem, FullCoverageOnIrredundantCircuit) {
     EXPECT_EQ(podem_stuck_at(c, f).status, PodemStatus::kFound)
         << fault_name(c, f);
   }
+}
+
+/// Every PI vector of a circuit with at most 10 PIs, evaluated once in
+/// 64-lane words (lane k of word w is vector 64*w + k). The oracle for the
+/// sweep below: "is there any vector such that ..." becomes a mask scan.
+class Exhaustive {
+ public:
+  explicit Exhaustive(const Circuit& c) : c_(c) {
+    const std::size_t n = c.inputs().size();
+    const std::uint64_t count = 1ull << n;
+    for (std::uint64_t base = 0; base < count; base += 64) {
+      std::vector<std::uint64_t> pi(n, 0);
+      for (std::uint64_t k = 0; k < 64 && base + k < count; ++k)
+        for (std::size_t i = 0; i < n; ++i)
+          if (((base + k) >> i) & 1u) pi[i] |= 1ull << k;
+      valid_.push_back(count - base >= 64 ? ~0ull
+                                          : (1ull << (count - base)) - 1);
+      good_.push_back(c.eval_words(pi));
+      pis_.push_back(std::move(pi));
+    }
+  }
+
+  /// Some vector satisfies every constraint and, when `forced` names a
+  /// net, shows a PO difference with that net stuck at `forced_value`.
+  bool any(const std::vector<NetConstraint>& constraints,
+           NetId forced = logic::kNoNet, bool forced_value = false) const {
+    for (std::size_t w = 0; w < good_.size(); ++w) {
+      std::uint64_t m = valid_[w];
+      for (const NetConstraint& k : constraints) {
+        const std::uint64_t g = good_[w][static_cast<std::size_t>(k.net)];
+        m &= k.value ? g : ~g;
+      }
+      if (m != 0 && forced != logic::kNoNet) {
+        const auto bad =
+            c_.eval_words(pis_[w], forced, forced_value ? ~0ull : 0ull);
+        std::uint64_t differ = 0;
+        for (NetId po : c_.outputs())
+          differ |= good_[w][static_cast<std::size_t>(po)] ^
+                    bad[static_cast<std::size_t>(po)];
+        m &= differ;
+      }
+      if (m != 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  const Circuit& c_;
+  std::vector<std::vector<std::uint64_t>> pis_;
+  std::vector<std::vector<std::uint64_t>> good_;
+  std::vector<std::uint64_t> valid_;
+};
+
+/// Both extreme fills of a PODEM vector's don't-care PIs. A 3-valued
+/// verdict must hold for every completion, so both must pass.
+std::vector<logic::InputVec> fills(const TestVector& v, std::size_t n_pi) {
+  return {v.bits, v.bits | and_not(logic::InputVec::mask(n_pi), v.care_mask)};
+}
+
+bool satisfies(const Circuit& c, const logic::InputVec& v,
+               const std::vector<NetConstraint>& constraints) {
+  const auto values = c.eval(v);
+  for (const NetConstraint& k : constraints)
+    if (values[static_cast<std::size_t>(k.net)] != k.value) return false;
+  return true;
+}
+
+/// Seeded sweep: every non-aborted verdict of the three PODEM entry points
+/// equals exhaustive enumeration, and every found vector is checked under
+/// the independent scalar simulators. Tight budgets exercise the abort path
+/// mid-search; the unlimited budget's untestable verdicts unwind the whole
+/// decision tree (the deepest undo there is).
+TEST(Podem, RandomCircuitSweepAgreesWithExhaustive) {
+  PodemOptions tight;
+  tight.max_backtracks = 2;
+  PodemOptions unlimited;
+  int found = 0;
+  int untestable = 0;
+  int aborted = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const int n_pi = 2 + static_cast<int>(seed % 9);  // 2..10
+    const int n_gates = 8 + static_cast<int>((seed * 7) % 33);
+    const int n_po = 1 + static_cast<int>(seed % 3);
+    const Circuit c = logic::random_circuit(n_pi, n_gates, n_po, 1000 + seed);
+    const std::size_t n_nets = c.num_nets();
+    const Exhaustive ex(c);
+    util::Prng prng(seed);
+    const std::string tag = "seed " + std::to_string(seed);
+
+    const auto check = [&](const PodemResult& r, bool truth,
+                           const std::string& what, auto&& vector_ok) {
+      if (r.status == PodemStatus::kAborted) {
+        ++aborted;
+        return;
+      }
+      EXPECT_EQ(r.status == PodemStatus::kFound, truth) << tag << " " << what;
+      if (r.status != PodemStatus::kFound) {
+        ++untestable;
+        return;
+      }
+      ++found;
+      for (const logic::InputVec& v : fills(r.vector, c.inputs().size()))
+        EXPECT_TRUE(vector_ok(v)) << tag << " " << what;
+    };
+
+    for (const PodemOptions* opt : {&tight, &unlimited}) {
+      const std::string budget =
+          opt == &tight ? " (tight budget)" : " (unlimited)";
+      for (const StuckFault& f : enumerate_stuck_faults(c)) {
+        check(podem_stuck_at(c, f, *opt), ex.any({}, f.net, f.value),
+              fault_name(c, f) + budget, [&](const logic::InputVec& v) -> bool {
+                return simulate_stuck_at(c, v, {f})[0];
+              });
+      }
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<NetConstraint> ks;
+        const int n_k = 1 + static_cast<int>(prng.next_below(3));
+        for (int k = 0; k < n_k; ++k)
+          ks.push_back({static_cast<NetId>(prng.next_below(n_nets)),
+                        prng.next_below(2) != 0});
+        check(podem_justify(c, ks, *opt), ex.any(ks), "justify" + budget,
+              [&](const logic::InputVec& v) { return satisfies(c, v, ks); });
+      }
+      for (std::size_t gi = 0; gi < c.num_gates(); ++gi) {
+        // The frame-2 shape of OBD generation: pin a gate's inputs, force
+        // its output, and require the difference at a PO.
+        const logic::Gate& g = c.gate(static_cast<int>(gi));
+        std::vector<NetConstraint> ks;
+        for (NetId in : g.inputs) ks.push_back({in, prng.next_below(2) != 0});
+        const bool forced = prng.next_below(2) != 0;
+        check(podem_constrained_fault(c, ks, g.output, forced, *opt),
+              ex.any(ks, g.output, forced), g.name + budget,
+              [&](const logic::InputVec& v) {
+                return satisfies(c, v, ks) &&
+                       forced_outputs_differ(c, v, g.output, forced);
+              });
+      }
+    }
+  }
+  // The sweep must reach every verdict, deep untestable unwinds included.
+  EXPECT_GT(found, 3000);
+  EXPECT_GT(untestable, 5000);
+  EXPECT_GT(aborted, 1000);
+}
+
+/// Pins the search itself, not only its verdicts: any change to decision
+/// order, objective choice, or the implication/backtrack accounting moves
+/// this hash. Covers every collapsed OBD representative of c880 at the
+/// campaign's top-off budget (both frames, aborts included).
+TEST(Podem, ObdSearchPinnedOnC880) {
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c880.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  const Circuit c = logic::decompose_composites(p.circuit());
+  const auto reps =
+      collapse_obd_faults(c, enumerate_obd_faults(c)).representatives;
+  PodemOptions opt;
+  opt.max_backtracks = 20;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_vec = [&](const logic::InputVec& v) {
+    for (std::size_t w = 0; w < v.nwords(); ++w) mix(v.word(w));
+  };
+  int found = 0;
+  for (const ObdFaultSite& site : reps) {
+    const TwoFrameResult r = generate_obd_test(c, site, opt);
+    mix(static_cast<std::uint64_t>(r.status));
+    for (const TestVector* v : {&r.x_test.v1, &r.x_test.v2}) {
+      mix_vec(v->bits);
+      mix_vec(v->care_mask);
+    }
+    mix(static_cast<std::uint64_t>(r.backtracks));
+    mix(static_cast<std::uint64_t>(r.implications));
+    if (r.status == PodemStatus::kFound) ++found;
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_EQ(h, 0x71954f7cd720d2d6ull) << std::hex << h << " over " << std::dec
+                       << reps.size() << " reps";
 }
 
 }  // namespace

@@ -48,6 +48,10 @@ void expect_matches_baseline(const CampaignReport& r,
   EXPECT_EQ(r.tests_deterministic, base.tests_deterministic) << what;
   EXPECT_EQ(r.tests_final, base.tests_final) << what;
   EXPECT_DOUBLE_EQ(r.coverage, base.coverage) << what;
+  // Shards commit each search's effort with its verdict, so the merged
+  // totals are the one-shot's even across kills and resumes.
+  EXPECT_EQ(r.podem_implications, base.podem_implications) << what;
+  EXPECT_EQ(r.podem_backtracks, base.podem_backtracks) << what;
 }
 
 class SupervisorTest : public ::testing::Test {
@@ -104,6 +108,30 @@ TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC2670) {
       expect_matches_baseline(res.report, base, what);
     }
   }
+}
+
+// The OBD top-off configuration of the CI provable-coverage step: a tight
+// budget, so both frames, backtracks and aborts all feed the totals.
+TEST_F(SupervisorTest, PodemEffortTotalsMatchOneShotC2670Obd) {
+  const io::BenchParseResult p = load("c2670.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.max_backtracks = 20;
+  opt.sat_escalate = true;
+  const CampaignReport base = run_campaign(p.seq, opt);
+  ASSERT_TRUE(base.ok()) << base.error;
+  EXPECT_GT(base.podem_implications, 0);
+  EXPECT_GT(base.podem_backtracks, 0);
+
+  SupervisorOptions sup;
+  sup.checkpoint_dir = fresh_dir("c2670_effort");
+  sup.shards = 4;
+  sup.in_process = true;
+  const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  expect_matches_baseline(res.report, base, "4 shards, obd");
 }
 
 TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC7552) {

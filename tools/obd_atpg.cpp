@@ -106,6 +106,7 @@
 //   --inject SPEC                  deterministic fault injection (see
 //                                  src/flow/inject.hpp; FLOW_FAULT_INJECT
 //                                  env is the fallback)
+//   --help, -h                     print usage to stdout and exit 0
 //
 // SIGINT/SIGTERM checkpoint in-flight shards and exit 75 (EX_TEMPFAIL);
 // rerunning with --resume continues where the campaign stopped.
@@ -143,8 +144,8 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_stop_signal(int) { g_stop = 1; }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
                "usage: %s <circuit.bench> [--model stuck|transition|obd] "
                "[--scan-style enhanced|loc|loc-held]\n"
                "       [--threads N] [--packing auto|pattern|fault] "
@@ -160,8 +161,13 @@ int usage(const char* argv0) {
                "       [--trace FILE] [--progress] [--progress-interval S]\n"
                "       [--shards N | --shard I/N] [--checkpoint-dir DIR] "
                "[--resume] [--shard-timeout S]\n"
-               "       [--max-retries N] [--shard-jobs N] [--inject SPEC]\n",
+               "       [--max-retries N] [--shard-jobs N] [--inject SPEC]\n"
+               "       [--help | -h]\n",
                argv0);
+}
+
+int usage(const char* argv0) {
+  print_usage(stderr, argv0);
   return 1;
 }
 
@@ -257,7 +263,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     long long n = 0;
-    if (a == "--model") {
+    if (a == "--help" || a == "-h") {
+      print_usage(stdout, argv[0]);
+      return 0;
+    } else if (a == "--model") {
       if (!flow::fault_model_from_string(value("--model"), opt.model)) {
         obs::logf(obs::LogLevel::kError, "unknown model '%s'", argv[i]);
         return 1;
