@@ -36,7 +36,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Min-of-2 wall time: the first run warms cone caches and page tables,
+/// Min-of-2 wall time: the first run warms engine buffers and page tables,
 /// the min discards scheduler noise. Timing rows only — detection results
 /// are asserted identical elsewhere.
 template <typename Fn>
@@ -134,7 +134,7 @@ SimComparison compare_obd_sim(const logic::Circuit& c, int n_tests) {
     });
   }
   {
-    FaultSimEngine wide(c, EngineOptions{0, /*lane_words=*/4});
+    FaultSimEngine wide(c, EngineOptions{.lane_words = 4});
     int wide_detected = 0;
     r.block_wide_s = min2([&] {
       wide_detected = wide.campaign_obd(tests, faults, false).detected;
@@ -409,16 +409,19 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
 
   struct Config {
     const char* mode;
-    SimOptions sim;  // {threads, packing, cone_cache_bytes, lane_words}
+    SimOptions sim;
   };
   const Config configs[] = {
-      {"pattern", {1, SimPacking::kPatternMajor}},
-      {"pattern", {2, SimPacking::kPatternMajor}},
-      {"pattern", {4, SimPacking::kPatternMajor}},
-      {"pattern", {1, SimPacking::kPatternMajor, 0, 4}},
-      {"pattern", {1, SimPacking::kPatternMajor, 0, 8}},
-      {"pattern", {2, SimPacking::kPatternMajor, 0, 4}},
-      {"fault", {1, SimPacking::kFaultMajor}},
+      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor}},
+      {"pattern", {.threads = 2, .packing = SimPacking::kPatternMajor}},
+      {"pattern", {.threads = 4, .packing = SimPacking::kPatternMajor}},
+      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor,
+                   .lane_words = 4}},
+      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor,
+                   .lane_words = 8}},
+      {"pattern", {.threads = 2, .packing = SimPacking::kPatternMajor,
+                   .lane_words = 4}},
+      {"fault", {.threads = 1, .packing = SimPacking::kFaultMajor}},
   };
 
   util::AsciiTable t("scheduler throughput (fault x patterns / sec)");
@@ -620,13 +623,13 @@ std::vector<DeltaRow> reproduce_delta_goods() {
     int off_detected = 0;
     int on_detected = 0;
     {
-      FaultSimEngine off(c, EngineOptions{0, 1, DeltaGoods::kOff});
+      FaultSimEngine off(c, EngineOptions{.delta_goods = DeltaGoods::kOff});
       row.off_s = min2([&] {
         off_detected = off.campaign_obd(tests, faults, false).detected;
       });
     }
     {
-      FaultSimEngine on(c, EngineOptions{0, 1, DeltaGoods::kOn});
+      FaultSimEngine on(c, EngineOptions{.delta_goods = DeltaGoods::kOn});
       row.on_s = min2([&] {
         on_detected = on.campaign_obd(tests, faults, false).detected;
       });
@@ -761,13 +764,14 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   // is one-sided (a rep is only ever slower than the quiet-host time), so
   // the min over interleaved rounds converges to comparable quiet-window
   // times for all three configurations.
-  FaultSimScheduler sched(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 1,
+                              .packing = SimPacking::kPatternMajor});
   const auto sample = [&] {
     const auto t0 = Clock::now();
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);
     return seconds_since(t0);
   };
-  sample();  // warm-up: builds the cone cache off the clock
+  sample();  // warm-up: first-touch allocations off the clock
   const auto spread_of = [](double a, double b) {
     return (std::max(a, b) / std::min(a, b) - 1.0) * 100.0;
   };

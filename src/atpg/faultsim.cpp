@@ -47,7 +47,7 @@ std::vector<bool> simulate_obd_x(const Circuit& c, const XTwoVectorTest& test,
 
 bool forced_outputs_differ(const Circuit& c, const InputVec& pattern,
                            NetId net, bool value) {
-  // Lightweight single-lane path (no engine / cone cache): callers such as
+  // Lightweight single-lane path (no engine): callers such as
   // scan-test verification invoke this once per fault on a fresh circuit.
   std::vector<std::uint64_t> pi(c.inputs().size());
   for (std::size_t i = 0; i < pi.size(); ++i) pi[i] = pattern.bit(i) ? 1u : 0u;

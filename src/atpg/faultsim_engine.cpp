@@ -5,6 +5,7 @@
 #include <barrier>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <numeric>
 #include <thread>
 
@@ -58,13 +59,10 @@ std::vector<PatternBlock> PatternBlock::pack(
 FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
     : c_(c),
       opt_(opt),
-      topo_pos_(c.num_gates(), 0),
       gate_level_(c.gate_levels()),
-      net_fence_(c.num_nets(), 0),
       po_mask_(c.num_nets(), 0),
-      cones_(c.num_nets()),
-      lru_pos_(c.num_nets()),
       changed_(c.num_nets(), 0),
+      queued_(c.num_gates(), 0),
       inj_set0_(c.num_nets(), 0),
       inj_set1_(c.num_nets(), 0) {
   if (opt_.lane_words < 1) opt_.lane_words = 1;
@@ -75,48 +73,21 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   diff_.assign(W, 0);
   exc_.assign(W, 0);
   masks_.assign(W, 0);
-  const auto& order = c.topo_order();
-  for (std::size_t rank = 0; rank < order.size(); ++rank)
-    topo_pos_[static_cast<std::size_t>(order[rank])] = static_cast<int>(rank);
-  for (std::size_t n = 0; n < c.num_nets(); ++n)
-    for (int g : c.fanout_of(static_cast<NetId>(n)))
-      net_fence_[n] = std::max(net_fence_[n],
-                               gate_level_[static_cast<std::size_t>(g)]);
   for (NetId po : c.outputs()) po_mask_[static_cast<std::size_t>(po)] = 1;
-
-  // Whole-circuit (level, topo rank) walk order for the cross-block delta
-  // good-eval: like a cone's gate order, but over every gate, so a delta
-  // walk seeded from any changed-PI set is a valid topological sweep with
-  // the same frontier-fence early exit.
-  level_order_.resize(c.num_gates());
-  std::iota(level_order_.begin(), level_order_.end(), 0);
-  std::sort(level_order_.begin(), level_order_.end(), [this](int a, int b) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    if (gate_level_[sa] != gate_level_[sb])
-      return gate_level_[sa] < gate_level_[sb];
-    return topo_pos_[sa] < topo_pos_[sb];
-  });
+  buckets_.resize(static_cast<std::size_t>(c.depth()) + 1);
 
   // Touch every engine id before caching slot pointers: slot() may grow
   // the slab, and only the last growth's pointers are stable.
   const EngineMetricIds& ids = EngineMetricIds::get();
   for (obs::MetricId id :
-       {ids.cone_bytes, ids.cone_peak_bytes, ids.cone_resident,
-        ids.cone_evictions, ids.propagations, ids.frontier_events,
-        ids.frontier_gate_evals, ids.frontier_early_exits,
+       {ids.propagations, ids.frontier_events, ids.frontier_gate_evals,
         ids.delta_good_evals, ids.delta_full_fallbacks, ids.delta_gate_evals,
         ids.delta_changed_pis}) {
     metrics_.slot(id);
   }
-  cone_bytes_ = metrics_.slot(ids.cone_bytes);
-  cone_peak_bytes_ = metrics_.slot(ids.cone_peak_bytes);
-  cones_resident_ = metrics_.slot(ids.cone_resident);
-  cone_evictions_ = metrics_.slot(ids.cone_evictions);
   propagations_ = metrics_.slot(ids.propagations);
   frontier_events_ = metrics_.slot(ids.frontier_events);
   frontier_gate_evals_ = metrics_.slot(ids.frontier_gate_evals);
-  frontier_early_exits_ = metrics_.slot(ids.frontier_early_exits);
   delta_good_evals_ = metrics_.slot(ids.delta_good_evals);
   delta_full_fallbacks_ = metrics_.slot(ids.delta_full_fallbacks);
   delta_gate_evals_ = metrics_.slot(ids.delta_gate_evals);
@@ -125,14 +96,9 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
 const EngineMetricIds& EngineMetricIds::get() {
   static const EngineMetricIds ids = [] {
     EngineMetricIds m;
-    m.cone_bytes = obs::gauge("sim.cone_cache_bytes");
-    m.cone_peak_bytes = obs::gauge("sim.cone_peak_bytes");
-    m.cone_resident = obs::gauge("sim.cones_resident");
-    m.cone_evictions = obs::counter("sim.cone_evictions");
     m.propagations = obs::counter("sim.propagations");
     m.frontier_events = obs::counter("sim.frontier_events");
     m.frontier_gate_evals = obs::counter("sim.frontier_gate_evals");
-    m.frontier_early_exits = obs::counter("sim.frontier_early_exits");
     m.delta_good_evals = obs::counter("sim.delta_good_evals");
     m.delta_full_fallbacks = obs::counter("sim.delta_full_fallbacks");
     m.delta_gate_evals = obs::counter("sim.delta_gate_evals");
@@ -142,77 +108,55 @@ const EngineMetricIds& EngineMetricIds::get() {
   return ids;
 }
 
-namespace {
-
-/// Resident-cache cost of one cone. sizeof(Cone) is private to the engine,
-/// so charge the vector payload plus a fixed per-cone overhead.
-std::size_t cone_cost(std::size_t n_gates) {
-  return n_gates * sizeof(int) + 48;
+void FaultSimEngine::mark_changed(NetId n) {
+  changed_[static_cast<std::size_t>(n)] = 1;
+  touched_.push_back(n);
+  for (int gi : c_.fanout_of(n)) {
+    const auto g = static_cast<std::size_t>(gi);
+    if (queued_[g]) continue;
+    queued_[g] = 1;
+    const int l = gate_level_[g];
+    buckets_[static_cast<std::size_t>(l)].push_back(gi);
+    if (l < lo_) lo_ = l;
+    if (l > hi_) hi_ = l;
+  }
 }
 
-}  // namespace
-
-const FaultSimEngine::Cone& FaultSimEngine::cone_of(NetId n) {
-  auto& slot = cones_[static_cast<std::size_t>(n)];
-  if (slot) {
-    // Refresh recency: move to the front of the LRU list.
-    if (opt_.cone_cache_bytes)
-      lru_.splice(lru_.begin(), lru_, lru_pos_[static_cast<std::size_t>(n)]);
-    return *slot;
-  }
-  slot = std::make_unique<Cone>();
-  Cone& cone = *slot;
-
-  // BFS over fanout, then levelize: (level, topo rank) order is a valid
-  // topological order (a level-L gate's inputs all have level < L) and is
-  // what makes the frontier fence an exact early-exit test.
-  std::vector<std::uint8_t> gate_seen(c_.num_gates(), 0);
-  std::vector<std::uint8_t> net_seen(c_.num_nets(), 0);
-  net_seen[static_cast<std::size_t>(n)] = 1;
-  std::vector<NetId> frontier{n};
-  while (!frontier.empty()) {
-    const NetId net = frontier.back();
-    frontier.pop_back();
-    for (int g : c_.fanout_of(net)) {
-      if (gate_seen[static_cast<std::size_t>(g)]) continue;
-      gate_seen[static_cast<std::size_t>(g)] = 1;
-      cone.gates.push_back(g);
-      const NetId out = c_.gate(g).output;
-      if (!net_seen[static_cast<std::size_t>(out)]) {
-        net_seen[static_cast<std::size_t>(out)] = 1;
-        frontier.push_back(out);
+long long FaultSimEngine::drain(const std::uint64_t* ref, std::uint64_t* cur,
+                                std::size_t W, std::uint64_t* diff,
+                                long long* evals) {
+  const std::uint64_t* ins[8];
+  std::uint64_t* const tmp = eval_tmp_.data();
+  long long events = 0;
+  for (int l = lo_; l <= hi_; ++l) {
+    std::vector<int>& bucket = buckets_[static_cast<std::size_t>(l)];
+    for (const int gi : bucket) {
+      queued_[static_cast<std::size_t>(gi)] = 0;
+      ++*evals;
+      const auto& gate = c_.gate(gi);
+      for (std::size_t k = 0; k < gate.inputs.size(); ++k) {
+        const auto in = static_cast<std::size_t>(gate.inputs[k]);
+        ins[k] = (changed_[in] ? cur : ref) + in * W;
       }
+      logic::gate_eval_lanes(gate.type, ins, tmp, W);
+      const auto on = static_cast<std::size_t>(gate.output);
+      std::uint64_t d = 0;
+      for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ ref[on * W + w];
+      if (!d) continue;  // the change dies at this gate
+      if (diff && po_mask_[on])
+        for (std::size_t w = 0; w < W; ++w)
+          diff[w] |= tmp[w] ^ ref[on * W + w];
+      for (std::size_t w = 0; w < W; ++w) cur[on * W + w] = tmp[w];
+      ++events;
+      mark_changed(gate.output);
     }
+    bucket.clear();
   }
-  std::sort(cone.gates.begin(), cone.gates.end(), [this](int a, int b) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    if (gate_level_[sa] != gate_level_[sb])
-      return gate_level_[sa] < gate_level_[sb];
-    return topo_pos_[sa] < topo_pos_[sb];
-  });
-  cone.gates.shrink_to_fit();
-
-  *cone_bytes_ += static_cast<long long>(cone_cost(cone.gates.size()));
-  if (*cone_bytes_ > *cone_peak_bytes_) *cone_peak_bytes_ = *cone_bytes_;
-  ++*cones_resident_;
-  if (opt_.cone_cache_bytes) {
-    lru_.push_front(n);
-    lru_pos_[static_cast<std::size_t>(n)] = lru_.begin();
-    // Evict least-recently-used cones past the cap; the cone just built is
-    // at the front, so it survives even when it alone exceeds the cap.
-    while (static_cast<std::size_t>(*cone_bytes_) > opt_.cone_cache_bytes &&
-           lru_.size() > 1) {
-      const NetId victim = lru_.back();
-      lru_.pop_back();
-      auto& vslot = cones_[static_cast<std::size_t>(victim)];
-      *cone_bytes_ -= static_cast<long long>(cone_cost(vslot->gates.size()));
-      vslot.reset();
-      --*cones_resident_;
-      ++*cone_evictions_;
-    }
-  }
-  return cone;
+  lo_ = std::numeric_limits<int>::max();
+  hi_ = 0;
+  for (NetId t : touched_) changed_[static_cast<std::size_t>(t)] = 0;
+  touched_.clear();
+  return events;
 }
 
 void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
@@ -229,55 +173,13 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
     if (!seed) return;  // the forced value is the good value everywhere
   }
   ++*propagations_;
-  ++*frontier_events_;
-  const Cone& cone = cone_of(forced);
   std::uint64_t* bad = bad_.data();
   for (std::size_t w = 0; w < W; ++w) bad[fs * W + w] = forced_words[w];
-  changed_[fs] = 1;
-  touched_.push_back(forced);
   if (po_mask_[fs])
     for (std::size_t w = 0; w < W; ++w)
       diff[w] |= forced_words[w] ^ good[fs * W + w];
-  int fence = net_fence_[fs];
-
-  const std::uint64_t* ins[8];
-  std::uint64_t* const tmp = eval_tmp_.data();
-  bool early = false;
-  for (int gi : cone.gates) {
-    if (gate_level_[static_cast<std::size_t>(gi)] > fence) {
-      // Every changed net's fanout lies behind the walk: nothing ahead can
-      // see a change, so the remaining cone is untouched by this fault.
-      early = true;
-      break;
-    }
-    const auto& gate = c_.gate(gi);
-    const std::size_t arity = gate.inputs.size();
-    std::uint8_t any = 0;
-    for (std::size_t k = 0; k < arity; ++k)
-      any |= changed_[static_cast<std::size_t>(gate.inputs[k])];
-    if (!any) continue;
-    ++*frontier_gate_evals_;
-    for (std::size_t k = 0; k < arity; ++k) {
-      const auto in = static_cast<std::size_t>(gate.inputs[k]);
-      ins[k] = (changed_[in] ? bad : good) + in * W;
-    }
-    logic::gate_eval_lanes(gate.type, ins, tmp, W);
-    const auto on = static_cast<std::size_t>(gate.output);
-    std::uint64_t d = 0;
-    for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ good[on * W + w];
-    if (!d) continue;  // the change dies at this gate
-    for (std::size_t w = 0; w < W; ++w) bad[on * W + w] = tmp[w];
-    changed_[on] = 1;
-    touched_.push_back(gate.output);
-    ++*frontier_events_;
-    if (net_fence_[on] > fence) fence = net_fence_[on];
-    if (po_mask_[on])
-      for (std::size_t w = 0; w < W; ++w)
-        diff[w] |= tmp[w] ^ good[on * W + w];
-  }
-  if (early) ++*frontier_early_exits_;
-  for (NetId t : touched_) changed_[static_cast<std::size_t>(t)] = 0;
-  touched_.clear();
+  mark_changed(forced);
+  *frontier_events_ += 1 + drain(good, bad, W, diff, frontier_gate_evals_);
 }
 
 void FaultSimEngine::delta_eval(const std::vector<std::uint64_t>& pi_words,
@@ -285,51 +187,19 @@ void FaultSimEngine::delta_eval(const std::vector<std::uint64_t>& pi_words,
                                 const std::vector<int>& changed_pis) {
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   std::uint64_t* vals = values.data();
-  // Seed: copy the changed PI words in place and flag their nets. The
-  // fence starts at the highest fanout level of any changed net, exactly
-  // as in propagate().
-  int fence = -1;
   for (int idx : changed_pis) {
     const NetId n = c_.inputs()[static_cast<std::size_t>(idx)];
     const auto s = static_cast<std::size_t>(n);
     for (std::size_t w = 0; w < W; ++w)
       vals[s * W + w] = pi_words[static_cast<std::size_t>(idx) * W + w];
-    changed_[s] = 1;
-    touched_.push_back(n);
-    if (net_fence_[s] > fence) fence = net_fence_[s];
+    mark_changed(n);
   }
-  // Level-order walk over the whole circuit. Reading inputs straight from
-  // `values` is safe: (level, topo rank) is topological, so a gate's
-  // inputs — changed or not — are already this block's final words, and a
-  // skipped gate's resident output word is still current because its
-  // inputs are bit-identical to the previous block's.
-  const std::uint64_t* ins[8];
-  std::uint64_t* const tmp = eval_tmp_.data();
-  for (int gi : level_order_) {
-    if (gate_level_[static_cast<std::size_t>(gi)] > fence) break;
-    const auto& gate = c_.gate(gi);
-    const std::size_t arity = gate.inputs.size();
-    std::uint8_t any = 0;
-    for (std::size_t k = 0; k < arity; ++k)
-      any |= changed_[static_cast<std::size_t>(gate.inputs[k])];
-    if (!any) continue;
-    ++*delta_gate_evals_;
-    for (std::size_t k = 0; k < arity; ++k) {
-      const auto in = static_cast<std::size_t>(gate.inputs[k]);
-      ins[k] = vals + in * W;
-    }
-    logic::gate_eval_lanes(gate.type, ins, tmp, W);
-    const auto on = static_cast<std::size_t>(gate.output);
-    std::uint64_t d = 0;
-    for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ vals[on * W + w];
-    if (!d) continue;  // the change dies at this gate
-    for (std::size_t w = 0; w < W; ++w) vals[on * W + w] = tmp[w];
-    changed_[on] = 1;
-    touched_.push_back(gate.output);
-    if (net_fence_[on] > fence) fence = net_fence_[on];
-  }
-  for (NetId t : touched_) changed_[static_cast<std::size_t>(t)] = 0;
-  touched_.clear();
+  // In place: `values` is both the reference and the current valuation. A
+  // gate drains only after every input's final word for this block is
+  // written (its drivers sit at lower levels), and a gate that is never
+  // queued keeps its resident word, which is still current because its
+  // inputs equal the previous block's.
+  drain(vals, vals, W, nullptr, delta_gate_evals_);
 }
 
 void FaultSimEngine::eval_goods(const std::vector<std::uint64_t>& pi_words,
@@ -397,7 +267,7 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
     const StuckFault& f = faults[i];
     const std::uint64_t value_word = f.value ? ~0ull : 0ull;
     // Lanes where the fault does not even change its own net are unaffected
-    // (lane-independent logic), so an all-equal block needs no cone pass.
+    // (lane-independent logic), so an all-equal block needs no propagation.
     const auto net = static_cast<std::size_t>(f.net);
     std::uint64_t excitable = 0;
     for (std::size_t w = 0; w < W; ++w) {
@@ -823,8 +693,8 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
   engines_.reserve(static_cast<std::size_t>(opt_.threads));
   for (int w = 0; w < opt_.threads; ++w)
     engines_.push_back(std::make_unique<FaultSimEngine>(
-        c_, EngineOptions{opt_.cone_cache_bytes, opt_.lane_words,
-                          opt_.delta_goods}));
+        c_, EngineOptions{.lane_words = opt_.lane_words,
+                          .delta_goods = opt_.delta_goods}));
 }
 
 FaultSimScheduler::~FaultSimScheduler() = default;
@@ -839,14 +709,9 @@ SimStats FaultSimScheduler::stats() const {
   const obs::Sheet m = merged_metrics();
   const EngineMetricIds& ids = EngineMetricIds::get();
   SimStats s;
-  s.cone_evictions = m.value(ids.cone_evictions);
-  s.cone_resident = static_cast<std::size_t>(m.value(ids.cone_resident));
-  s.cone_bytes = static_cast<std::size_t>(m.value(ids.cone_bytes));
-  s.cone_peak_bytes = static_cast<std::size_t>(m.value(ids.cone_peak_bytes));
   s.propagations = m.value(ids.propagations);
   s.frontier_events = m.value(ids.frontier_events);
   s.frontier_gate_evals = m.value(ids.frontier_gate_evals);
-  s.frontier_early_exits = m.value(ids.frontier_early_exits);
   return s;
 }
 

@@ -11,9 +11,9 @@
 //   - the good circuit is evaluated once per block (per frame);
 //   - each fault is simulated against the whole block at once: its net is
 //     forced to per-lane words and the change is propagated event-driven
-//     through the fault's levelized fanout cone (cones are cached per
-//     net) — only gates with a changed input are evaluated, and the walk
-//     short-circuits when the frontier empties before reaching a PO;
+//     through Circuit::fanout_of in level order — only gates with a
+//     changed input are evaluated, and the walk ends as soon as no queued
+//     gate is left;
 //   - OBD excitation is decided per lane from a per-(gate type, transistor)
 //     lookup table over local two-vectors, so input-specific conditions
 //     cost a table probe instead of a topology walk;
@@ -29,9 +29,9 @@
 //     per polarity);
 //   - FaultSimScheduler: picks the packing per call shape and shards
 //     independent pattern blocks across a small std::thread pool with
-//     per-worker engines (cone caches and excitation tables are the only
-//     per-engine state). Fault dropping is reconciled in block order after
-//     each round, so campaign results are bit-identical to a
+//     per-worker engines (scratch buffers and excitation tables are the
+//     only per-engine state). Fault dropping is reconciled in block order
+//     after each round, so campaign results are bit-identical to a
 //     single-threaded run at any thread count or packing.
 //
 // The legacy entry points in faultsim.hpp are thin wrappers over the
@@ -40,7 +40,7 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -54,14 +54,9 @@ namespace obd::atpg {
 /// Registry ids of the engine's metrics (one process-wide interning).
 /// Exposed so report code can read the merged scheduler sheet by id.
 struct EngineMetricIds {
-  obs::MetricId cone_bytes;
-  obs::MetricId cone_peak_bytes;
-  obs::MetricId cone_resident;
-  obs::MetricId cone_evictions;
   obs::MetricId propagations;
   obs::MetricId frontier_events;
   obs::MetricId frontier_gate_evals;
-  obs::MetricId frontier_early_exits;
   obs::MetricId delta_good_evals;
   obs::MetricId delta_full_fallbacks;
   obs::MetricId delta_gate_evals;
@@ -71,13 +66,6 @@ struct EngineMetricIds {
 
 /// Per-engine knobs (the scheduler forwards SimOptions fields here).
 struct EngineOptions {
-  /// Upper bound on resident fanout-cone cache memory, in bytes; least-
-  /// recently-used cones are evicted past it (the most recent cone is
-  /// always kept, so a single huge cone still simulates). 0 = unlimited.
-  /// Cones are now a level-sorted gate list only (~4 bytes per cone gate —
-  /// the old per-cone num_nets membership mask, O(nets^2) total on ISCAS
-  /// circuits, is gone), so even c7552 fits comfortably uncapped.
-  std::size_t cone_cache_bytes = 0;
   /// Words per pattern lane bundle: blocks carry 64 * lane_words tests and
   /// every per-net value is lane_words words wide (the LaneBlock SIMD
   /// kernels in logic/laneblock.hpp fuse them). Detection results are
@@ -172,29 +160,18 @@ class FaultSimEngine {
 
   const Circuit& circuit() const { return c_; }
 
-  // --- Cone-cache / frontier introspection -----------------------------
+  // --- Frontier introspection ------------------------------------------
   // Counters live in the engine's obs::Sheet (see metrics()); hot loops
   // bump them through cached slot pointers at member-increment cost. The
   // getters below keep the original introspection API.
-  /// Bytes currently held by cached fanout cones.
-  std::size_t cone_cache_bytes() const { return static_cast<std::size_t>(*cone_bytes_); }
-  /// High-water mark of cone_cache_bytes over the engine's lifetime.
-  std::size_t cone_peak_bytes() const { return static_cast<std::size_t>(*cone_peak_bytes_); }
-  /// Cones evicted so far (0 when the cache is uncapped).
-  long long cone_evictions() const { return *cone_evictions_; }
-  /// Cones currently resident.
-  std::size_t cone_resident() const { return static_cast<std::size_t>(*cones_resident_); }
-  /// Fault-injected cone propagations run (one per excited fault x block).
+  /// Fault-injected propagations run (one per excited fault x block).
   long long propagations() const { return *propagations_; }
   /// Nets whose wide value actually changed during propagation (frontier
   /// membership events, fault sites included).
   long long frontier_events() const { return *frontier_events_; }
-  /// Cone gates evaluated (gates with no changed input are skipped; the
-  /// old engine paid one evaluation per cone gate per fault).
+  /// Gates evaluated during propagation: exactly the gates with at least
+  /// one changed input, each once.
   long long frontier_gate_evals() const { return *frontier_gate_evals_; }
-  /// Propagations that short-circuited before exhausting the cone because
-  /// the frontier emptied below the remaining gates' levels.
-  long long frontier_early_exits() const { return *frontier_early_exits_; }
   /// Good evaluations served by the cross-block delta walk.
   long long delta_good_evals() const { return *delta_good_evals_; }
   /// Good evaluations that fell back to a full sweep (no resident state,
@@ -266,7 +243,7 @@ class FaultSimEngine {
     std::vector<int> first_test;
     int detected = 0;
     /// Work metric fault dropping shrinks. Pattern-major: (active fault x
-    /// block) pairs simulated (an upper bound on cone evaluations).
+    /// block) pairs simulated (an upper bound on propagations).
     /// Fault-major: 64-fault words simulated (an upper bound on injected
     /// full-circuit evaluations: words with no excited lane short-circuit).
     /// Not comparable across packings.
@@ -285,29 +262,17 @@ class FaultSimEngine {
 
   /// PO difference word between the good block valuation `good` (one word
   /// per net) and the same block with `forced` pinned to `forced_word`,
-  /// propagating only through the forced net's fanout cone. The one-word
-  /// convenience form of the wide frontier propagation.
+  /// propagating only through the forced net's transitive fanout. The
+  /// one-word convenience form of the wide frontier propagation.
   std::uint64_t forced_diff(const std::vector<std::uint64_t>& good,
                             NetId forced, std::uint64_t forced_word);
 
  private:
-  /// A fanout cone, levelized once: gate indices sorted by (logic level,
-  /// topo rank). Membership masks and PO lists are gone — change flags
-  /// replace the former and the engine-wide PO mask the latter — so a cone
-  /// costs ~4 bytes per gate instead of num_nets bytes.
-  struct Cone {
-    std::vector<int> gates;
-  };
-
-  const Cone& cone_of(NetId n);
-
   /// Event-driven frontier propagation, the engine's hot loop: pins
   /// `forced` to `forced_words` (W words) against the lane-strided good
-  /// valuation `good`, walks the forced net's cone in level order
-  /// evaluating only gates with a changed input, marks a net changed only
-  /// when its W-word value really differs from good, and stops as soon as
-  /// every changed net's fanout level is behind the walk (the frontier
-  /// fence). `diff` (W words) gets the OR over POs of (faulty ^ good).
+  /// valuation `good` and drains the change through the level buckets
+  /// (see drain()). `diff` (W words) gets the OR over POs of
+  /// (faulty ^ good).
   void propagate(const std::uint64_t* good, std::size_t n_words, NetId forced,
                  const std::uint64_t* forced_words, std::uint64_t* diff);
   /// 2^n x 2^n excitation table for (gate type, transistor): row bit v2 of
@@ -330,12 +295,25 @@ class FaultSimEngine {
   void eval_goods(const std::vector<std::uint64_t>& pi_words,
                   std::vector<std::uint64_t>& values,
                   std::vector<std::uint64_t>& prev_pi, bool& valid);
-  /// The delta walk proper: seeds changed flags from the changed PIs
-  /// (given as PI indices) and re-evaluates their fanout in level order
-  /// over the resident `values`.
+  /// The delta walk proper: writes the changed PIs' words (given as PI
+  /// indices) into the resident `values` and drains their fanout in place.
   void delta_eval(const std::vector<std::uint64_t>& pi_words,
                   std::vector<std::uint64_t>& values,
                   const std::vector<int>& changed_pis);
+  /// Flags net `n` changed and queues every gate reading it into the
+  /// bucket of its logic level (once per gate, however many of its inputs
+  /// change).
+  void mark_changed(NetId n);
+  /// The one event-driven walk behind propagate() and delta_eval(): takes
+  /// the level buckets in ascending order and evaluates each queued gate
+  /// exactly once, reading changed inputs from `cur` and the rest from
+  /// `ref`. An output whose W words differ from `ref` is written to `cur`
+  /// and marked changed, queueing its readers at strictly higher levels;
+  /// with `diff`, changed POs also OR (cur ^ ref) into it. Gate reads are
+  /// counted into `evals`. Returns the number of outputs that changed and
+  /// leaves every changed flag cleared.
+  long long drain(const std::uint64_t* ref, std::uint64_t* cur,
+                  std::size_t W, std::uint64_t* diff, long long* evals);
 
   /// Broadcast good valuations of both frames of `t` into good1_/good2_
   /// (frame 1 skipped when `need_frame1` is false — the stuck-at kernel
@@ -351,30 +329,15 @@ class FaultSimEngine {
 
   const Circuit& c_;
   EngineOptions opt_;
-  std::vector<int> topo_pos_;                    // gate -> topo rank
   std::vector<int> gate_level_;                  // gate -> logic level
-  // Frontier fence input: per net, the maximum logic level of any gate
-  // reading it (0 = no fanout). While the walk's level exceeds every
-  // changed net's entry here, no remaining cone gate can see a change.
-  std::vector<int> net_fence_;
   std::vector<std::uint8_t> po_mask_;            // per net: 1 = primary output
-  std::vector<std::unique_ptr<Cone>> cones_;     // per net, lazy
-  // LRU bookkeeping for the cone cache: recency list (front = most recent)
-  // and each resident net's position in it (maintained only when capped).
-  std::list<NetId> lru_;
-  std::vector<std::list<NetId>::iterator> lru_pos_;
   // Metrics slab + cached slot pointers (stable: every engine id is
   // touched before the pointers are taken, and the engine adds no other
   // ids to its own sheet).
   obs::Sheet metrics_;
-  long long* cone_bytes_ = nullptr;
-  long long* cone_peak_bytes_ = nullptr;
-  long long* cones_resident_ = nullptr;
-  long long* cone_evictions_ = nullptr;
   long long* propagations_ = nullptr;
   long long* frontier_events_ = nullptr;
   long long* frontier_gate_evals_ = nullptr;
-  long long* frontier_early_exits_ = nullptr;
   long long* delta_good_evals_ = nullptr;
   long long* delta_full_fallbacks_ = nullptr;
   long long* delta_gate_evals_ = nullptr;
@@ -385,40 +348,40 @@ class FaultSimEngine {
   // net).
   std::vector<std::uint64_t> good1_, good2_, bad_;
   // Propagation scratch: per-net changed flags with their reset list, the
-  // gate-output staging words, and per-block masks / per-fault excitation
-  // and diff words.
+  // level buckets of queued gates (a gate's readers sit at strictly higher
+  // levels, so a bucket never grows while it drains) with per-gate queued
+  // flags and the non-empty level range, the gate-output staging words,
+  // and per-block masks / per-fault excitation and diff words.
   std::vector<std::uint8_t> changed_;
   std::vector<NetId> touched_;
+  std::vector<std::vector<int>> buckets_;
+  std::vector<std::uint8_t> queued_;
+  int lo_ = std::numeric_limits<int>::max();
+  int hi_ = 0;
   std::vector<std::uint64_t> eval_tmp_, force_, diff_, exc_, masks_;
   // Fault-major injection scratch: per-net forced-to-{0,1} lane masks, the
   // touched-net reset list, and the faulty valuation buffer.
   std::vector<std::uint64_t> inj_set0_, inj_set1_;
   std::vector<NetId> inj_nets_;
   std::vector<std::uint64_t> pi_bcast_, ibad_;
-  // Cross-block delta good-eval state: every gate sorted by (level, topo
-  // rank) for the whole-circuit delta walk, the previous block's PI words
-  // per frame, validity of the resident good1_/good2_ lanes, and the
+  // Cross-block delta good-eval state: the previous block's PI words per
+  // frame, validity of the resident good1_/good2_ lanes, and the
   // changed-PI scratch list.
-  std::vector<int> level_order_;
   std::vector<std::uint64_t> prev_pi1_, prev_pi2_;
   bool goods1_valid_ = false, goods2_valid_ = false;
   std::vector<int> changed_pis_;
 };
 
-/// Aggregated per-engine counters (summed over the scheduler's workers;
-/// cone_bytes/cone_resident are sums of per-engine residency, peak bytes
-/// the sum of per-engine peaks). Surfaced in the campaign JSON report so
-/// cache pressure and frontier behaviour are observable without rerunning
-/// the bench.
+/// Aggregated per-engine counters (summed over the scheduler's workers).
+/// Surfaced in the campaign JSON report so frontier behaviour is
+/// observable without rerunning the bench.
 struct SimStats {
-  long long cone_evictions = 0;
+  // Always 0: propagation keeps no fanout-cone store any more.
   std::size_t cone_resident = 0;
-  std::size_t cone_bytes = 0;
   std::size_t cone_peak_bytes = 0;
   long long propagations = 0;
   long long frontier_events = 0;
   long long frontier_gate_evals = 0;
-  long long frontier_early_exits = 0;
 };
 
 /// Schedules fault-simulation calls over packing modes and a worker pool.
@@ -451,7 +414,7 @@ class FaultSimScheduler {
   obs::Sheet merged_metrics() const;
 
   /// kAuto resolution for a call shape. Fault-major pays one full-circuit
-  /// evaluation per 64 faults per test; pattern-major one cone evaluation
+  /// evaluation per 64 faults per test; pattern-major one propagation
   /// per fault per 64 tests plus a good evaluation per block — so the
   /// fault axis wins only when the test list is a small fraction of one
   /// block and the fault list spans words.

@@ -90,7 +90,7 @@ std::vector<TwoVectorTest> consecutive_pairs(
 /// without pulling in the engine.
 enum class SimPacking {
   kAuto,          ///< pick from the (tests, faults) shape per call
-  kPatternMajor,  ///< 64 tests per word, per-fault fanout-cone propagation
+  kPatternMajor,  ///< 64 tests per word, per-fault fanout propagation
   kFaultMajor,    ///< 64 faults per word, full-circuit injected evaluation
 };
 
@@ -115,10 +115,6 @@ struct SimOptions {
   /// at any count.
   int threads = 1;
   SimPacking packing = SimPacking::kAuto;
-  /// Per-engine cap on the resident fanout-cone cache (LRU eviction past
-  /// it; see EngineOptions::cone_cache_bytes). 0 = unlimited. Purely a
-  /// memory/speed trade: detections are unaffected.
-  std::size_t cone_cache_bytes = 0;
   /// Words per pattern-block lane bundle: 1 = the classic 64-lane blocks,
   /// 4 = 256 lanes, 8 = 512 (the CLI's --lanes divided by 64). Wide
   /// bundles run through the LaneBlock SIMD kernels; detection matrices,

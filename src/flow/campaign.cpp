@@ -366,13 +366,9 @@ void fill_structure(const logic::Circuit& view, CampaignReport& r) {
 
 void fill_sim_stats(const FaultSimScheduler& sched, CampaignReport& r) {
   const atpg::SimStats s = sched.stats();
-  r.cone_evictions = s.cone_evictions;
-  r.cone_resident = s.cone_resident;
-  r.cone_peak_bytes = s.cone_peak_bytes;
   r.propagations = s.propagations;
   r.frontier_events = s.frontier_events;
   r.frontier_gate_evals = s.frontier_gate_evals;
-  r.frontier_early_exits = s.frontier_early_exits;
 }
 
 void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
@@ -806,14 +802,10 @@ std::string report_json(const CampaignReport& r) {
        ", \"lanes\": " + std::to_string(r.lanes) +
        ", \"packing\": \"" + r.packing + "\", \"fault_block_evals\": " +
        std::to_string(r.fault_block_evals) + ", \"matrix_hash\": \"" + hash +
-       "\",\n          \"cone_evictions\": " + std::to_string(r.cone_evictions) +
-       ", \"cone_resident\": " + std::to_string(r.cone_resident) +
-       ", \"cone_peak_bytes\": " + std::to_string(r.cone_peak_bytes) +
-       ",\n          \"propagations\": " + std::to_string(r.propagations) +
+       "\",\n          \"propagations\": " + std::to_string(r.propagations) +
        ", \"frontier_events\": " + std::to_string(r.frontier_events) +
        ", \"frontier_gate_evals\": " + std::to_string(r.frontier_gate_evals) +
-       ", \"frontier_early_exits\": " +
-       std::to_string(r.frontier_early_exits) + "},\n";
+       "},\n";
   // SAT escalation detail: effort totals plus the per-fault conflict
   // histogram (log2 buckets, trailing zeroes trimmed).
   if (r.sat_detected + r.sat_untestable + r.sat_unknown > 0) {
@@ -985,13 +977,7 @@ void print_report(const CampaignReport& r) {
              std::to_string(r.threads) + " / " + std::to_string(r.lanes) +
                  " / " + r.packing});
   if (r.propagations > 0)
-    t.add_row({"frontier evals / early exits",
-               std::to_string(r.frontier_gate_evals) + " / " +
-                   std::to_string(r.frontier_early_exits) +
-                   (r.cone_evictions > 0
-                        ? "  (evictions " + std::to_string(r.cone_evictions) +
-                              ")"
-                        : "")});
+    t.add_row({"frontier gate evals", std::to_string(r.frontier_gate_evals)});
   {
     std::string phases = "prepass " + util::format_g(r.time.random_s, 3) +
                          ", topoff " +

@@ -44,7 +44,7 @@ struct CampaignOptions {
   /// pins PI2 == PI1) and run the two-frame scan ATPG — OBD model only.
   /// Ignored for purely combinational designs.
   atpg::ScanMode scan_style = atpg::ScanMode::kEnhanced;
-  /// Threads / packing / cone-cache cap for every fault-sim call.
+  /// Threads / packing / lane width for every fault-sim call.
   atpg::SimOptions sim;
   /// Random patterns (or two-vector pairs) in the fault-dropping prepass;
   /// 0 goes straight to the deterministic search.
@@ -193,16 +193,11 @@ struct CampaignReport {
   /// Scheduler work metric of the prepass (see Campaign::fault_block_evals).
   long long fault_block_evals = 0;
 
-  /// Cone-cache pressure and frontier-propagation counters, summed over the
-  /// campaign scheduler's worker engines (atpg::SimStats): the c7552-class
-  /// memory/speed cliff is observable here without rerunning the bench.
-  long long cone_evictions = 0;
-  std::size_t cone_resident = 0;
-  std::size_t cone_peak_bytes = 0;
+  /// Frontier-propagation counters, summed over the campaign scheduler's
+  /// worker engines (atpg::SimStats).
   long long propagations = 0;
   long long frontier_events = 0;
   long long frontier_gate_evals = 0;
-  long long frontier_early_exits = 0;
 
   /// Sharded-campaign provenance (set by the shard supervisor; a plain
   /// run_campaign leaves shards == 0). `partial` means one or more shards

@@ -135,8 +135,9 @@ std::string checkpoint_path(const std::string& dir, int shard_index);
 
 /// Fingerprint of every option that changes shard *results* (model, scan
 /// style, seed, prepass size, backtrack and time budgets, shard count,
-/// circuit name). Deliberately excludes threads/packing/lanes/cone-cache
-/// (bit-identical by the scheduler's contract), merge-time options
+/// circuit name). Deliberately excludes the fault-sim options (threads,
+/// packing, lanes, delta-goods, grey order: bit-identical by the
+/// scheduler's contract), merge-time options
 /// (compact, ndetect), and the SAT escalation options: a checkpoint taken
 /// at 1 thread resumes at 8, and a PODEM-only checkpoint resumes with
 /// --sat-escalate as a pure top-off over its recorded aborts.

@@ -40,22 +40,26 @@ inline std::vector<logic::Circuit> zoo() {
 /// packs faults per word), then explicit block batching (amortized round
 /// barriers in fault-dropping campaigns).
 inline std::vector<SimOptions> sweep_configs() {
-  return {// SimOptions: {threads, packing, cone_cache_bytes, lane_words,
-          //              block_batch}
-          {1, SimPacking::kPatternMajor}, {1, SimPacking::kFaultMajor},
-          {2, SimPacking::kPatternMajor}, {4, SimPacking::kPatternMajor},
-          {2, SimPacking::kFaultMajor},   {4, SimPacking::kFaultMajor},
-          {1, SimPacking::kPatternMajor, 0, 2},
-          {1, SimPacking::kPatternMajor, 0, 4},
-          {1, SimPacking::kPatternMajor, 0, 8},
-          {2, SimPacking::kPatternMajor, 0, 2},
-          {2, SimPacking::kPatternMajor, 0, 4},
-          {4, SimPacking::kPatternMajor, 0, 4},
-          {4, SimPacking::kPatternMajor, 0, 8},
-          {2, SimPacking::kFaultMajor, 0, 4},
-          {2, SimPacking::kPatternMajor, 0, 1, 2},
-          {4, SimPacking::kPatternMajor, 0, 2, 3},
-          {4, SimPacking::kPatternMajor, 0, 4, 2}};
+  return {
+      {.threads = 1, .packing = SimPacking::kPatternMajor},
+      {.threads = 1, .packing = SimPacking::kFaultMajor},
+      {.threads = 2, .packing = SimPacking::kPatternMajor},
+      {.threads = 4, .packing = SimPacking::kPatternMajor},
+      {.threads = 2, .packing = SimPacking::kFaultMajor},
+      {.threads = 4, .packing = SimPacking::kFaultMajor},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 8},
+      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 2},
+      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 8},
+      {.threads = 2, .packing = SimPacking::kFaultMajor, .lane_words = 4},
+      {.threads = 2, .packing = SimPacking::kPatternMajor, .block_batch = 2},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 2,
+       .block_batch = 3},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+       .block_batch = 2}};
 }
 
 inline std::string config_name(const SimOptions& o) {

@@ -6,7 +6,7 @@
 // PIs, so every detection bit must match the full-evaluation engine
 // exactly. These tests pin that contract three ways: legacy-reference
 // oracle sweeps on the zoo, matrix bit-identity on the ISCAS corpus
-// (c2670/c7552, where cones are deep enough to exercise the fence walk),
+// (c2670/c7552, where fanout is deep enough to exercise long level walks),
 // and end-to-end campaign matrix_hash invariance across threads, lane
 // widths, shard counts, and the grey block ordering.
 #include <gtest/gtest.h>
@@ -44,23 +44,36 @@ Circuit load_prim(const std::string& file) {
 /// with delta propagation forced on or in auto mode, plus grey ordering.
 std::vector<SimOptions> delta_configs() {
   using D = DeltaGoods;
-  return {// SimOptions: {threads, packing, cone_cache_bytes, lane_words,
-          //              block_batch, delta_goods, grey_order}
-          {1, SimPacking::kPatternMajor, 0, 1, 0, D::kOn},
-          {1, SimPacking::kPatternMajor, 0, 2, 0, D::kOn},
-          {1, SimPacking::kPatternMajor, 0, 4, 0, D::kOn},
-          {1, SimPacking::kPatternMajor, 0, 8, 0, D::kOn},
-          {2, SimPacking::kPatternMajor, 0, 1, 0, D::kOn},
-          {2, SimPacking::kPatternMajor, 0, 4, 0, D::kOn},
-          {4, SimPacking::kPatternMajor, 0, 2, 0, D::kOn},
-          {4, SimPacking::kPatternMajor, 0, 8, 0, D::kOn},
-          {1, SimPacking::kFaultMajor, 0, 1, 0, D::kOn},
-          {2, SimPacking::kFaultMajor, 0, 4, 0, D::kOn},
-          {1, SimPacking::kPatternMajor, 0, 1, 0, D::kAuto},
-          {4, SimPacking::kPatternMajor, 0, 4, 0, D::kAuto},
-          {1, SimPacking::kPatternMajor, 0, 2, 0, D::kOn, true},
-          {2, SimPacking::kPatternMajor, 0, 4, 0, D::kAuto, true},
-          {4, SimPacking::kPatternMajor, 0, 1, 2, D::kOn, true}};
+  return {
+      {.threads = 1, .packing = SimPacking::kPatternMajor,
+       .delta_goods = D::kOn},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2,
+       .delta_goods = D::kOn},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+       .delta_goods = D::kOn},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 8,
+       .delta_goods = D::kOn},
+      {.threads = 2, .packing = SimPacking::kPatternMajor,
+       .delta_goods = D::kOn},
+      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+       .delta_goods = D::kOn},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 2,
+       .delta_goods = D::kOn},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 8,
+       .delta_goods = D::kOn},
+      {.threads = 1, .packing = SimPacking::kFaultMajor, .delta_goods = D::kOn},
+      {.threads = 2, .packing = SimPacking::kFaultMajor, .lane_words = 4,
+       .delta_goods = D::kOn},
+      {.threads = 1, .packing = SimPacking::kPatternMajor,
+       .delta_goods = D::kAuto},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+       .delta_goods = D::kAuto},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2,
+       .delta_goods = D::kOn, .grey_order = true},
+      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+       .delta_goods = D::kAuto, .grey_order = true},
+      {.threads = 4, .packing = SimPacking::kPatternMajor, .block_batch = 2,
+       .delta_goods = D::kOn, .grey_order = true}};
 }
 
 TEST(DeltaGoods, OracleSweepZoo) {
@@ -84,18 +97,25 @@ void sweep_corpus(const std::string& file, int n_tests) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0xde17a);
 
-  FaultSimScheduler base(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler base(c, {.threads = 1,
+                             .packing = SimPacking::kPatternMajor});
   const DetectionMatrix ref = base.matrix_obd(tests, faults);
   EXPECT_GT(ref.covered_count, 0) << file;
 
   using D = DeltaGoods;
   for (const SimOptions& o : std::vector<SimOptions>{
-           {1, SimPacking::kPatternMajor, 0, 1, 0, D::kOn},
-           {1, SimPacking::kPatternMajor, 0, 4, 0, D::kOn},
-           {2, SimPacking::kPatternMajor, 0, 8, 0, D::kOn},
-           {4, SimPacking::kPatternMajor, 0, 4, 0, D::kAuto},
-           {1, SimPacking::kPatternMajor, 0, 4, 0, D::kOn, true},
-           {2, SimPacking::kPatternMajor, 0, 8, 0, D::kAuto, true},
+           {.threads = 1, .packing = SimPacking::kPatternMajor,
+            .delta_goods = D::kOn},
+           {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+            .delta_goods = D::kOn},
+           {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 8,
+            .delta_goods = D::kOn},
+           {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+            .delta_goods = D::kAuto},
+           {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+            .delta_goods = D::kOn, .grey_order = true},
+           {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 8,
+            .delta_goods = D::kAuto, .grey_order = true},
        }) {
     FaultSimScheduler sched(c, o);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),
@@ -135,8 +155,8 @@ TEST(DeltaGoods, CorrelatedStreamTakesDeltaPath) {
   }
   const auto faults = enumerate_obd_faults(c);
 
-  FaultSimEngine off(c, {0, 1, DeltaGoods::kOff});
-  FaultSimEngine on(c, {0, 1, DeltaGoods::kOn});
+  FaultSimEngine off(c, {.delta_goods = DeltaGoods::kOff});
+  FaultSimEngine on(c, {.delta_goods = DeltaGoods::kOn});
   const auto ref = off.campaign_obd(tests, faults, false);
   const auto got = on.campaign_obd(tests, faults, false);
   EXPECT_EQ(ref.first_test, got.first_test);
@@ -145,7 +165,7 @@ TEST(DeltaGoods, CorrelatedStreamTakesDeltaPath) {
   EXPECT_GT(on.delta_good_evals(), 0);
 
   // kAuto on the same correlated stream also takes the delta path…
-  FaultSimEngine aut(c, {0, 1, DeltaGoods::kAuto});
+  FaultSimEngine aut(c, {.delta_goods = DeltaGoods::kAuto});
   const auto got_auto = aut.campaign_obd(tests, faults, false);
   EXPECT_EQ(ref.first_test, got_auto.first_test);
   EXPECT_EQ(ref.detected, got_auto.detected);
@@ -154,7 +174,7 @@ TEST(DeltaGoods, CorrelatedStreamTakesDeltaPath) {
   // …but an uncorrelated random stream trips its changed-PI-cone guard.
   const auto noisy =
       random_pairs(n_pi, 256, 0xbad5eed);
-  FaultSimEngine aut2(c, {0, 1, DeltaGoods::kAuto});
+  FaultSimEngine aut2(c, {.delta_goods = DeltaGoods::kAuto});
   aut2.campaign_obd(noisy, faults, false);
   EXPECT_GT(aut2.delta_full_fallbacks(), 0);
 }
@@ -237,9 +257,12 @@ TEST(DeltaGoods, BatchAwareSerialThreshold) {
   // rounds do batch x blocks x gates of work, so a shape that is
   // sub-threshold per block can still be worth fanning out.
   const Circuit big = logic::array_multiplier(6);  // 444 gates
-  FaultSimScheduler plain(big, {4, SimPacking::kPatternMajor});
+  FaultSimScheduler plain(big, {.threads = 4,
+                                .packing = SimPacking::kPatternMajor});
   EXPECT_EQ(plain.pattern_workers(8), 1);  // 444 x 8 x 1: sub-threshold
-  FaultSimScheduler batched(big, {4, SimPacking::kPatternMajor, 0, 1, 4});
+  FaultSimScheduler batched(big, {.threads = 4,
+                                  .packing = SimPacking::kPatternMajor,
+                                  .block_batch = 4});
   EXPECT_EQ(batched.pattern_workers(8), 4);  // 444 x 8 x 1 x 4 crosses it
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
+#include "io/bench.hpp"
+#include "logic/laneblock.hpp"
 #include "logic/zoo.hpp"
 #include "oracle_common.hpp"
 #include "util/prng.hpp"
@@ -21,9 +23,11 @@ TEST(FaultSimOracle, EnginePackingsMatchLegacyScalar) {
   // test_faultsim_scheduler, so the zoo-wide matrix build runs once per
   // engine concern rather than twice in full), at every LaneBlock width.
   const std::vector<SimOptions> configs = {
-      {1, SimPacking::kPatternMajor},       {1, SimPacking::kFaultMajor},
-      {1, SimPacking::kPatternMajor, 0, 2}, {1, SimPacking::kPatternMajor, 0, 4},
-      {1, SimPacking::kPatternMajor, 0, 8}};
+      {.threads = 1, .packing = SimPacking::kPatternMajor},
+      {.threads = 1, .packing = SimPacking::kFaultMajor},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4},
+      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 8}};
   std::uint64_t seed = 0x0bd0007;
   for (const Circuit& c : zoo_circuits())
     oracle::sweep_matrices(c, 130, seed++, configs);
@@ -179,7 +183,6 @@ TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
     EXPECT_EQ(detect[0], 0u);
     EXPECT_EQ(engine.propagations(), 1);
     EXPECT_EQ(engine.frontier_gate_evals(), 1);  // the AND gate only
-    EXPECT_EQ(engine.frontier_early_exits(), 1);
     EXPECT_EQ(engine.frontier_events(), 1);  // the forced net itself
   }
   {
@@ -193,9 +196,150 @@ TEST(FrontierPropagation, ExitsEarlyWhenTheFrontierDies) {
     EXPECT_EQ(detect[0], 0b10u);
     EXPECT_EQ(engine.propagations(), 1);
     EXPECT_EQ(engine.frontier_gate_evals(), 5);  // AND + 4 inverters
-    EXPECT_EQ(engine.frontier_early_exits(), 0);
     EXPECT_EQ(engine.frontier_events(), 6);  // x, g, n0..n3
   }
+}
+
+/// What one propagation must do, computed the slow way: a full
+/// re-simulation of the block with `net` forced to `forced` (W words),
+/// diffed net by net against the good valuation.
+struct Resimulated {
+  long long gate_evals = 0;  // gates with >= 1 input differing from good
+  long long events = 0;      // nets differing from good, forced net included
+  std::vector<std::uint64_t> po_diff;  // OR over POs of (faulty ^ good)
+};
+
+Resimulated resimulate(const Circuit& c, const std::vector<std::uint64_t>& pi,
+                       std::size_t W, const std::vector<std::uint64_t>& good,
+                       logic::NetId net, const std::uint64_t* forced) {
+  std::vector<std::uint64_t> bad;
+  c.eval_wide_into(pi, W, bad, net, forced);
+  const auto differs = [&](logic::NetId n) {
+    const auto s = static_cast<std::size_t>(n);
+    return logic::lanes_differ(good.data() + s * W, bad.data() + s * W, W);
+  };
+  Resimulated r;
+  r.po_diff.assign(W, 0);
+  for (std::size_t n = 0; n < c.num_nets(); ++n)
+    r.events += differs(static_cast<logic::NetId>(n));
+  for (std::size_t g = 0; g < c.num_gates(); ++g) {
+    const auto& ins = c.gate(static_cast<int>(g)).inputs;
+    r.gate_evals += std::any_of(ins.begin(), ins.end(), differs);
+  }
+  for (logic::NetId po : c.outputs())
+    for (std::size_t w = 0; w < W; ++w)
+      r.po_diff[w] |= good[static_cast<std::size_t>(po) * W + w] ^
+                      bad[static_cast<std::size_t>(po) * W + w];
+  return r;
+}
+
+/// Every stuck-at and transition fault of `c` against one full random
+/// block of 64 * lane_words tests: the engine's per-propagation gate-eval
+/// and event counts equal the re-simulation's (so no gate is evaluated
+/// twice, however many of its inputs change, and none is evaluated
+/// without a changed input), and its detection words equal the
+/// re-simulated PO diff on the excited lanes.
+void expect_propagation_matches_resimulation(const Circuit& c, int lane_words,
+                                             std::uint64_t seed) {
+  const auto W = static_cast<std::size_t>(lane_words);
+  const auto blocks = PatternBlock::pack(
+      c, random_tests(c, PatternBlock::kLanes * lane_words, seed),
+      lane_words);
+  ASSERT_EQ(blocks.size(), 1u);
+  const PatternBlock& b = blocks[0];
+  ASSERT_TRUE(b.full());
+  std::vector<std::uint64_t> good1, good2, detect;
+  c.eval_wide_into(b.pi1(), W, good1);
+  c.eval_wide_into(b.pi2(), W, good2);
+  FaultSimEngine engine(c, {.lane_words = lane_words});
+
+  for (const StuckFault& f : enumerate_stuck_faults(c)) {
+    const std::vector<std::uint64_t> forced(W, f.value ? ~0ull : 0ull);
+    const Resimulated want =
+        resimulate(c, b.pi2(), W, good2, f.net, forced.data());
+    const long long evals = engine.frontier_gate_evals();
+    const long long events = engine.frontier_events();
+    engine.block_stuck(b, {f}, detect);
+    const std::string name = c.net_name(f.net) + (f.value ? "/1" : "/0");
+    EXPECT_EQ(engine.frontier_gate_evals() - evals, want.gate_evals) << name;
+    EXPECT_EQ(engine.frontier_events() - events, want.events) << name;
+    for (std::size_t w = 0; w < W; ++w)
+      EXPECT_EQ(detect[w], want.po_diff[w]) << name << " word " << w;
+  }
+
+  // Transition faults force per-lane frame-1 words rather than a constant;
+  // the engine propagates only when some lane carries the slow transition.
+  for (const TransitionFault& f : enumerate_transition_faults(c)) {
+    const auto s = static_cast<std::size_t>(f.net);
+    std::vector<std::uint64_t> exc(W);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < W; ++w) {
+      const std::uint64_t o1 = good1[s * W + w], o2 = good2[s * W + w];
+      exc[w] = f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2);
+      any |= exc[w];
+    }
+    Resimulated want;
+    want.po_diff.assign(W, 0);
+    if (any)
+      want = resimulate(c, b.pi2(), W, good2, f.net, good1.data() + s * W);
+    const long long evals = engine.frontier_gate_evals();
+    const long long events = engine.frontier_events();
+    engine.block_transition(b, {f}, detect);
+    const std::string name =
+        c.net_name(f.net) + (f.slow_to_rise ? " STR" : " STF");
+    EXPECT_EQ(engine.frontier_gate_evals() - evals, want.gate_evals) << name;
+    EXPECT_EQ(engine.frontier_events() - events, want.events) << name;
+    for (std::size_t w = 0; w < W; ++w)
+      EXPECT_EQ(detect[w], want.po_diff[w] & exc[w]) << name << " word " << w;
+  }
+}
+
+/// a feeds a gate on both of its inputs (sq = AND(a, a)) and reconverges
+/// at r = XOR(NAND(a, b), INV(a)).
+Circuit twice_read_and_reconvergent() {
+  Circuit c("reconv");
+  const logic::NetId a = c.add_input("a");
+  const logic::NetId b = c.add_input("b");
+  const logic::NetId sq = c.net("sq");
+  const logic::NetId p = c.net("p");
+  const logic::NetId q = c.net("q");
+  const logic::NetId r = c.net("r");
+  c.add_gate(logic::GateType::kAnd2, "sq", {a, a}, sq);
+  c.add_gate(logic::GateType::kNand2, "p", {a, b}, p);
+  c.add_gate(logic::GateType::kInv, "q", {a}, q);
+  c.add_gate(logic::GateType::kXor2, "r", {p, q}, r);
+  c.mark_output(sq);
+  c.mark_output(r);
+  return c;
+}
+
+TEST(FrontierPropagation, EvaluatesEachReachedGateOnce) {
+  // a stuck-at-1 under a=0, b=1 in every lane: sq, p and q all flip; r is
+  // queued by both p and q but evaluated once, and the change dies there
+  // (1^1 -> 0^0).
+  const Circuit c = twice_read_and_reconvergent();
+  const std::vector<StuckFault> faults = {{c.find_net("a"), true}};
+  FaultSimEngine engine(c);
+  PatternBlock b(c);
+  while (!b.full()) b.push({0b10, 0b10});  // a=0, b=1
+  std::vector<std::uint64_t> detect;
+  engine.block_stuck(b, faults, detect);
+  EXPECT_EQ(detect[0], ~0ull);  // seen at sq
+  EXPECT_EQ(engine.propagations(), 1);
+  EXPECT_EQ(engine.frontier_gate_evals(), 4);  // sq, p, q, r
+  EXPECT_EQ(engine.frontier_events(), 4);      // a, sq, p, q
+}
+
+TEST(FrontierPropagation, MatchesForcedResimulationOnWideBlocks) {
+  expect_propagation_matches_resimulation(twice_read_and_reconvergent(), 2,
+                                          0x7e1c0);
+  expect_propagation_matches_resimulation(logic::array_multiplier(4), 4,
+                                          0x7e1c1);
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c880.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  expect_propagation_matches_resimulation(
+      logic::decompose_composites(p.circuit()), 4, 0x7e1c2);
 }
 
 TEST(PatternBlockTest, PackPreservesOrderAndLanes) {
@@ -289,34 +433,6 @@ TEST(FaultSimEngine, CoverageFunctionsMatchMatrices) {
   const DetectionMatrix mo = build_obd_matrix(c, tests, of);
   EXPECT_DOUBLE_EQ(obd_coverage(c, tests, of),
                    static_cast<double>(mo.covered_count) / of.size());
-}
-
-TEST(FaultSimEngine, ConeCacheLruCapKeepsResultsIdentical) {
-  // A capped cone cache is purely a memory/speed trade: campaign results
-  // must be bit-identical to the uncapped engine while evictions occur and
-  // residency stays bounded.
-  const Circuit c = logic::array_multiplier(4);
-  const auto faults = enumerate_obd_faults(c);
-  const auto tests = random_tests(c, 256, 0xcac4e);
-
-  FaultSimEngine uncapped(c);
-  const auto base = uncapped.campaign_obd(tests, faults, true);
-  EXPECT_EQ(uncapped.cone_evictions(), 0);
-
-  // A few cones' worth (cones are level-sorted gate lists, ~4 bytes per
-  // cone gate): tight enough that the LRU must evict constantly.
-  const std::size_t cap = c.num_nets() * 8;
-  FaultSimEngine capped(c, EngineOptions{cap});
-  const auto got = capped.campaign_obd(tests, faults, true);
-  EXPECT_EQ(got.first_test, base.first_test);
-  EXPECT_EQ(got.detected, base.detected);
-  EXPECT_GT(capped.cone_evictions(), 0);
-  EXPECT_TRUE(capped.cone_cache_bytes() <= cap || capped.cone_resident() == 1);
-
-  // Scheduler plumbing: the cap arrives through SimOptions.
-  FaultSimScheduler sched(c, SimOptions{2, SimPacking::kPatternMajor, cap});
-  const auto sched_got = sched.campaign_obd(tests, faults, true);
-  EXPECT_EQ(sched_got.first_test, base.first_test);
 }
 
 TEST(ForcedOutputsDiffer, MatchesStuckDetection) {

@@ -49,7 +49,8 @@ TEST(Scheduler, AutoPackingFollowsCallShape) {
   // A tiny fault list is not worth a full-circuit injected eval per test.
   EXPECT_EQ(sched.resolve_packing(1, 63), SimPacking::kPatternMajor);
 
-  FaultSimScheduler forced(c, {1, SimPacking::kFaultMajor});
+  FaultSimScheduler forced(c, {.threads = 1,
+                               .packing = SimPacking::kFaultMajor});
   EXPECT_EQ(forced.resolve_packing(512, 1), SimPacking::kFaultMajor);
 }
 
@@ -64,7 +65,8 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_obd(tests, faults, true);
   for (int threads : {1, 2, 4}) {
-    FaultSimScheduler sched(c, {threads, SimPacking::kPatternMajor});
+    FaultSimScheduler sched(c, {.threads = threads,
+                                .packing = SimPacking::kPatternMajor});
     const auto got = sched.campaign_obd(tests, faults, true);
     EXPECT_EQ(got.first_test, ref.first_test) << threads;
     EXPECT_EQ(got.detected, ref.detected) << threads;
@@ -79,18 +81,22 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   // scheduler runs inline regardless of the thread knob; past it the
   // requested workers engage (capped by the block count).
   const Circuit c = logic::c17();  // 6 gates: always sub-threshold
-  FaultSimScheduler sched(c, {4, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 4,
+                              .packing = SimPacking::kPatternMajor});
   EXPECT_EQ(sched.pattern_workers(4), 1);
   EXPECT_EQ(sched.pattern_workers(100), 1);
 
   const Circuit big = logic::array_multiplier(6);  // 444 gates
-  FaultSimScheduler bsched(big, {4, SimPacking::kPatternMajor});
+  FaultSimScheduler bsched(big, {.threads = 4,
+                                 .packing = SimPacking::kPatternMajor});
   EXPECT_EQ(bsched.pattern_workers(64), 4);  // big shape: all 4 engage
   EXPECT_EQ(bsched.pattern_workers(8), 1);   // 444 x 8 < threshold: inline
 
   // Wide lanes raise the per-block work, so fewer blocks cross the gate —
   // and the block count still caps the workers past it.
-  FaultSimScheduler wsched(big, {4, SimPacking::kPatternMajor, 0, 8});
+  FaultSimScheduler wsched(big, {.threads = 4,
+                                 .packing = SimPacking::kPatternMajor,
+                                 .lane_words = 8});
   EXPECT_EQ(wsched.pattern_workers(8), 4);
   EXPECT_EQ(wsched.pattern_workers(3), 3);
   EXPECT_EQ(wsched.pattern_workers(2), 1);  // 444 x 2 x 8 is sub-threshold
@@ -99,7 +105,9 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   // over the auto pick everywhere.
   EXPECT_EQ(sched.resolve_batch(100, 1), 1u);
   EXPECT_GE(bsched.resolve_batch(64, 4), 1u);
-  FaultSimScheduler esched(big, {4, SimPacking::kPatternMajor, 0, 1, 3});
+  FaultSimScheduler esched(big, {.threads = 4,
+                                 .packing = SimPacking::kPatternMajor,
+                                 .block_batch = 3});
   EXPECT_EQ(esched.resolve_batch(64, 4), 3u);
 }
 
@@ -115,11 +123,15 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_obd(tests, faults, true);
   for (const SimOptions& o : std::vector<SimOptions>{
-           {2, SimPacking::kPatternMajor, 0, 1, 1},
-           {2, SimPacking::kPatternMajor, 0, 1, 2},
-           {4, SimPacking::kPatternMajor, 0, 1, 4},
-           {4, SimPacking::kPatternMajor},  // auto batch
-           {2, SimPacking::kPatternMajor, 0, 4, 2},  // wide lanes x batch
+           {.threads = 2, .packing = SimPacking::kPatternMajor,
+            .block_batch = 1},
+           {.threads = 2, .packing = SimPacking::kPatternMajor,
+            .block_batch = 2},
+           {.threads = 4, .packing = SimPacking::kPatternMajor,
+            .block_batch = 4},
+           {.threads = 4, .packing = SimPacking::kPatternMajor},  // auto batch
+           {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4,
+            .block_batch = 2},  // wide lanes x batch
        }) {
     FaultSimScheduler sched(c, o);
     ASSERT_GT(sched.pattern_workers(
@@ -139,7 +151,7 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
 TEST(Scheduler, EmptyShapes) {
   const Circuit c = logic::c17();
   const auto faults = enumerate_obd_faults(c);
-  FaultSimScheduler sched(c, {4, SimPacking::kAuto});
+  FaultSimScheduler sched(c, {.threads = 4, .packing = SimPacking::kAuto});
   const DetectionMatrix no_tests = sched.matrix_obd({}, faults);
   EXPECT_EQ(no_tests.n_tests, 0u);
   EXPECT_EQ(no_tests.covered_count, 0);
@@ -159,7 +171,8 @@ TEST(Scheduler, MoreThreadsThanBlocksIsFine) {
       random_pairs(static_cast<int>(c.inputs().size()), 30, 0x5c4ed006);
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_transition(tests, faults, true);
-  FaultSimScheduler sched(c, {16, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 16,
+                              .packing = SimPacking::kPatternMajor});
   const auto got = sched.campaign_transition(tests, faults, true);
   EXPECT_EQ(got.first_test, ref.first_test);
 }

@@ -5,8 +5,8 @@
 // matrices and campaign matrix_hash values are bit-identical across lane
 // widths 64/256/512, thread counts 1/2/4, and both packings. The zoo-level
 // legacy-reference sweeps live in oracle_common.hpp; these tests pin the
-// corpus scale, where cones are deep enough to exercise frontier early
-// exits and multi-word value strides for real.
+// corpus scale, where fanout is deep enough to exercise long frontier
+// walks and multi-word value strides for real.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -42,17 +42,23 @@ void sweep_lanes(const std::string& file, int n_tests) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), n_tests, 0x1a9e5);
 
-  FaultSimScheduler base(c, {1, SimPacking::kPatternMajor});
+  FaultSimScheduler base(c, {.threads = 1,
+                             .packing = SimPacking::kPatternMajor});
   const DetectionMatrix ref = base.matrix_obd(tests, faults);
   EXPECT_GT(ref.covered_count, 0) << file;
 
   for (const SimOptions& o : std::vector<SimOptions>{
-           {1, SimPacking::kPatternMajor, 0, 4},
-           {1, SimPacking::kPatternMajor, 0, 8},
-           {2, SimPacking::kPatternMajor, 0, 4},
-           {4, SimPacking::kPatternMajor, 0, 8},
-           {2, SimPacking::kPatternMajor, 0, 8, 2},
-           {1, SimPacking::kFaultMajor, 0, 4},
+           {.threads = 1, .packing = SimPacking::kPatternMajor,
+            .lane_words = 4},
+           {.threads = 1, .packing = SimPacking::kPatternMajor,
+            .lane_words = 8},
+           {.threads = 2, .packing = SimPacking::kPatternMajor,
+            .lane_words = 4},
+           {.threads = 4, .packing = SimPacking::kPatternMajor,
+            .lane_words = 8},
+           {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 8,
+            .block_batch = 2},
+           {.threads = 1, .packing = SimPacking::kFaultMajor, .lane_words = 4},
        }) {
     FaultSimScheduler sched(c, o);
     oracle::expect_matrices_identical(ref, sched.matrix_obd(tests, faults),

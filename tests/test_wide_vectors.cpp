@@ -243,7 +243,8 @@ TEST(WideScan, BroadsideCampaignAgreesWithVerifierOn70Flops) {
     EXPECT_FALSE(t.state2_loaded);
     vectors.push_back(scan_view_vectors(seq, t));
   }
-  FaultSimScheduler sched(sv, SimOptions{2, SimPacking::kPatternMajor});
+  FaultSimScheduler sched(sv, SimOptions{.threads = 2,
+                                         .packing = SimPacking::kPatternMajor});
   const auto campaign = sched.campaign_obd(vectors, faults, true);
   EXPECT_GT(campaign.detected, 0);
   int verified = 0;

@@ -15,12 +15,10 @@
 //   --lanes 64|128|256|512         pattern lanes per simulation block
 //                                  (default 64; wider blocks run the SIMD
 //                                  LaneBlock kernels, results identical)
-//   --cone-cache BYTES             LRU cap on the per-engine fanout-cone
-//                                  cache (default 0 = unlimited)
 //   --delta-goods on|off|auto      cross-block good-eval delta propagation:
 //                                  keep the previous block's good values
 //                                  resident per worker and re-evaluate only
-//                                  the cones of changed PIs (default off;
+//                                  the fanout of changed PIs (default off;
 //                                  auto falls back to a full evaluation
 //                                  when more than a quarter of the PIs
 //                                  changed). Bit-identical results either
@@ -150,7 +148,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "[--scan-style enhanced|loc|loc-held]\n"
                "       [--threads N] [--packing auto|pattern|fault] "
                "[--lanes 64|128|256|512]\n"
-               "       [--cone-cache BYTES] [--delta-goods on|off|auto] "
+               "       [--delta-goods on|off|auto] "
                "[--grey-order] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
                "[--sat-conflict-budget N] [--sat-incremental on|off] "
@@ -297,9 +295,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       opt.sim.lane_words = static_cast<int>(n / 64);
-    } else if (a == "--cone-cache") {
-      if (!parse_long(value("--cone-cache"), n) || n < 0) return usage(argv[0]);
-      opt.sim.cone_cache_bytes = static_cast<std::size_t>(n);
     } else if (a == "--delta-goods") {
       const std::string d = value("--delta-goods");
       if (d == "off") opt.sim.delta_goods = atpg::DeltaGoods::kOff;
