@@ -24,21 +24,40 @@ std::vector<std::size_t> greedy_cover(const DetectionMatrix& m) {
   std::vector<std::uint64_t> covered(m.words_per_row, 0);
   std::size_t remaining = static_cast<std::size_t>(m.covered_count);
 
-  while (remaining > 0) {
-    std::size_t best = 0;
-    std::size_t best_gain = 0;
-    for (std::size_t t = 0; t < m.n_tests; ++t) {
-      const std::size_t gain = count_new(m.row(t), covered);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = t;
-      }
+  // Lazy greedy: gains only shrink as coverage grows, so a stale gain is an
+  // upper bound. Heap order is (gain desc, index asc); a popped test whose
+  // re-scored gain still orders at or above the new top beats every other
+  // test's true gain (ties included), which is exactly the eager loop's
+  // first-maximum pick.
+  struct Entry {
+    std::size_t gain;
+    std::size_t test;
+  };
+  const auto below = [](const Entry& a, const Entry& b) {
+    return a.gain != b.gain ? a.gain < b.gain : a.test > b.test;
+  };
+  std::vector<Entry> heap;
+  heap.reserve(m.n_tests);
+  for (std::size_t t = 0; t < m.n_tests; ++t)
+    if (const std::size_t gain = count_new(m.row(t), covered))
+      heap.push_back({gain, t});
+  std::make_heap(heap.begin(), heap.end(), below);
+
+  while (remaining > 0 && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), below);
+    Entry top = heap.back();
+    heap.pop_back();
+    top.gain = count_new(m.row(top.test), covered);
+    if (top.gain == 0) continue;  // never gains again
+    if (!heap.empty() && below(top, heap.front())) {
+      heap.push_back(top);
+      std::push_heap(heap.begin(), heap.end(), below);
+      continue;
     }
-    if (best_gain == 0) break;  // Only uncoverable faults remain.
-    picks.push_back(best);
-    const std::uint64_t* row = m.row(best);
+    picks.push_back(top.test);
+    const std::uint64_t* row = m.row(top.test);
     for (std::size_t w = 0; w < covered.size(); ++w) covered[w] |= row[w];
-    remaining -= best_gain;
+    remaining -= top.gain;
   }
   return picks;
 }

@@ -12,6 +12,13 @@ namespace obd::atpg {
 /// Greedy set cover: repeatedly picks the test detecting the most
 /// still-uncovered faults (word-packed rows, popcount gains).
 /// Returns selected test indices (in pick order).
+///
+/// Tie-break contract: among tests of equal gain the lowest index wins,
+/// and picking stops once m.covered_count faults are covered or no test
+/// gains anything. The pick sequence is exactly that of the eager loop
+/// that re-scores every test on every pick; the implementation is lazy
+/// (a max-heap of stale gains, re-scored only at the top), which is what
+/// makes it cheap on large matrices.
 std::vector<std::size_t> greedy_cover(const DetectionMatrix& m);
 
 /// Exact minimum cover via branch and bound (seeded by the greedy bound).

@@ -70,9 +70,11 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   bad_.assign(c.num_nets() * W, 0);
   eval_tmp_.assign(W, 0);
   force_.assign(W, 0);
-  diff_.assign(W, 0);
-  exc_.assign(W, 0);
   masks_.assign(W, 0);
+  net_act_.assign(c.num_nets() * W, 0);
+  net_diff_.assign(c.num_nets() * W, 0);
+  minterms1_.assign(16 * W, 0);
+  minterms2_.assign(16 * W, 0);
   for (NetId po : c.outputs()) po_mask_[static_cast<std::size_t>(po)] = 1;
   buckets_.resize(static_cast<std::size_t>(c.depth()) + 1);
 
@@ -252,62 +254,96 @@ std::uint64_t FaultSimEngine::forced_diff(
   return diff;
 }
 
+template <typename ActivateFn>
+void FaultSimEngine::propagate_per_net(const PatternBlock& b,
+                                       std::size_t n_faults,
+                                       const std::vector<std::uint8_t>* active,
+                                       std::vector<std::uint64_t>& detect,
+                                       ActivateFn activate) {
+  assert(b.lane_words() == opt_.lane_words);
+  const auto W = static_cast<std::size_t>(opt_.lane_words);
+  for (std::size_t w = 0; w < W; ++w)
+    masks_[w] = b.lane_mask(static_cast<int>(w));
+  // 1. Each active fault's activation words go straight into its detect
+  // slot and are OR-ed into its net's union.
+  detect.assign(n_faults * W, 0);
+  fault_net_.assign(n_faults, logic::kNoNet);
+  for (std::size_t i = 0; i < n_faults; ++i) {
+    if (active && !(*active)[i]) continue;
+    std::uint64_t* act = detect.data() + i * W;
+    const NetId net = activate(i, act);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < W; ++w) any |= act[w];
+    if (!any) continue;
+    fault_net_[i] = net;
+    std::uint64_t* u = net_act_.data() + static_cast<std::size_t>(net) * W;
+    std::uint64_t seen = 0;
+    for (std::size_t w = 0; w < W; ++w) {
+      seen |= u[w];
+      u[w] |= act[w];
+    }
+    if (!seen) excited_nets_.push_back(net);
+  }
+  // 2. One propagation per excited net, flipping the union's lanes.
+  // Activated lanes of every fault on a net carry the same faulty value
+  // (the complement of good2), and logic is lane-independent, so each
+  // lane's PO diff is exactly that of any single fault activating it.
+  for (const NetId net : excited_nets_) {
+    const auto s = static_cast<std::size_t>(net) * W;
+    for (std::size_t w = 0; w < W; ++w) {
+      force_[w] = good2_[s + w] ^ net_act_[s + w];
+      net_act_[s + w] = 0;
+    }
+    propagate(good2_.data(), W, net, force_.data(), net_diff_.data() + s);
+  }
+  excited_nets_.clear();
+  // 3. A fault detects where its net's diff meets its own activation.
+  for (std::size_t i = 0; i < n_faults; ++i) {
+    if (fault_net_[i] == logic::kNoNet) continue;
+    const auto s = static_cast<std::size_t>(fault_net_[i]) * W;
+    for (std::size_t w = 0; w < W; ++w) detect[i * W + w] &= net_diff_[s + w];
+  }
+}
+
 void FaultSimEngine::block_stuck(const PatternBlock& b,
                                  const std::vector<StuckFault>& faults,
                                  std::vector<std::uint64_t>& detect,
                                  const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
   eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
-    const StuckFault& f = faults[i];
-    const std::uint64_t value_word = f.value ? ~0ull : 0ull;
-    // Lanes where the fault does not even change its own net are unaffected
-    // (lane-independent logic), so an all-equal block needs no propagation.
-    const auto net = static_cast<std::size_t>(f.net);
-    std::uint64_t excitable = 0;
-    for (std::size_t w = 0; w < W; ++w) {
-      force_[w] = value_word;
-      excitable |= (good2_[net * W + w] ^ value_word) & masks_[w];
-    }
-    if (!excitable) continue;
-    propagate(good2_.data(), W, f.net, force_.data(), diff_.data());
-    for (std::size_t w = 0; w < W; ++w)
-      detect[i * W + w] = diff_[w] & masks_[w];
-  }
+  propagate_per_net(b, faults.size(), active, detect,
+                    [&](std::size_t i, std::uint64_t* act) {
+                      const StuckFault& f = faults[i];
+                      const std::uint64_t v = f.value ? ~0ull : 0ull;
+                      const std::uint64_t* g =
+                          good2_.data() + static_cast<std::size_t>(f.net) * W;
+                      for (std::size_t w = 0; w < W; ++w)
+                        act[w] = (g[w] ^ v) & masks_[w];
+                      return f.net;
+                    });
 }
 
 void FaultSimEngine::block_transition(const PatternBlock& b,
                                       const std::vector<TransitionFault>& faults,
                                       std::vector<std::uint64_t>& detect,
                                       const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
   eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
   eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
-    const TransitionFault& f = faults[i];
-    const auto net = static_cast<std::size_t>(f.net);
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < W; ++w) {
-      const std::uint64_t o1 = good1_[net * W + w];
-      const std::uint64_t o2 = good2_[net * W + w];
-      exc_[w] = (f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2)) & masks_[w];
-      any |= exc_[w];
-    }
-    if (!any) continue;
-    // The slow output holds its per-lane frame-1 values during capture.
-    propagate(good2_.data(), W, f.net, good1_.data() + net * W, diff_.data());
-    for (std::size_t w = 0; w < W; ++w) detect[i * W + w] = diff_[w] & exc_[w];
-  }
+  // The slow output holds its frame-1 value during capture: excited lanes
+  // are exactly those where that differs from the frame-2 value.
+  propagate_per_net(b, faults.size(), active, detect,
+                    [&](std::size_t i, std::uint64_t* act) {
+                      const TransitionFault& f = faults[i];
+                      const auto s = static_cast<std::size_t>(f.net) * W;
+                      for (std::size_t w = 0; w < W; ++w) {
+                        const std::uint64_t o1 = good1_[s + w];
+                        const std::uint64_t o2 = good2_[s + w];
+                        act[w] = (f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2)) &
+                                 masks_[w];
+                      }
+                      return f.net;
+                    });
 }
 
 const std::array<std::uint16_t, 16>& FaultSimEngine::obd_table(
@@ -330,56 +366,72 @@ const std::array<std::uint16_t, 16>& FaultSimEngine::obd_table(
   return obd_tables_.emplace(key, table).first->second;
 }
 
+namespace {
+
+/// Minterm words of gate `g`'s inputs under the lane-strided valuation
+/// `good` (W words per net): mt[v * W + w] has the lanes of word w whose
+/// local input vector is v (input k = bit k), for all 2^n vectors.
+void load_minterms(const std::vector<std::uint64_t>& good, std::size_t W,
+                   const logic::Gate& g, std::uint64_t* mt) {
+  for (std::size_t w = 0; w < W; ++w) mt[w] = ~0ull;
+  // Doubling: after input k, minterms [0, 2^(k+1)) are split on input k.
+  std::size_t n = 1;
+  for (const NetId in : g.inputs) {
+    const std::uint64_t* x = good.data() + static_cast<std::size_t>(in) * W;
+    for (std::size_t v = 0; v < n; ++v)
+      for (std::size_t w = 0; w < W; ++w) {
+        mt[(v + n) * W + w] = mt[v * W + w] & x[w];
+        mt[v * W + w] &= ~x[w];
+      }
+    n *= 2;
+  }
+}
+
+}  // namespace
+
 void FaultSimEngine::block_obd(const PatternBlock& b,
                                const std::vector<ObdFaultSite>& faults,
                                std::vector<std::uint64_t>& detect,
                                const std::vector<std::uint8_t>* active) {
-  assert(b.lane_words() == opt_.lane_words);
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  detect.assign(faults.size() * W, 0);
   eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
   eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
-  for (std::size_t w = 0; w < W; ++w)
-    masks_[w] = b.lane_mask(static_cast<int>(w));
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (active && !(*active)[i]) continue;
-    const ObdFaultSite& f = faults[i];
-    const auto& g = c_.gate(f.gate_index);
-    if (!logic::is_primitive_cmos(g.type)) continue;
-    const auto& table = obd_table(g.type, f.transistor);
-
-    // Per-lane local two-vectors at the gate, probed against the table.
-    const std::size_t n_in = g.inputs.size();
-    const std::uint64_t* in1[4];
-    const std::uint64_t* in2[4];
-    for (std::size_t k = 0; k < n_in; ++k) {
-      in1[k] = good1_.data() + static_cast<std::size_t>(g.inputs[k]) * W;
-      in2[k] = good2_.data() + static_cast<std::size_t>(g.inputs[k]) * W;
-    }
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < W; ++w) exc_[w] = 0;
-    for (int lane = 0; lane < b.size(); ++lane) {
-      const auto word = static_cast<std::size_t>(lane) >> 6;
-      const int bit = lane & 63;
-      std::uint32_t lv1 = 0, lv2 = 0;
-      for (std::size_t k = 0; k < n_in; ++k) {
-        lv1 |= static_cast<std::uint32_t>((in1[k][word] >> bit) & 1u) << k;
-        lv2 |= static_cast<std::uint32_t>((in2[k][word] >> bit) & 1u) << k;
-      }
-      if ((table[lv1] >> lv2) & 1u) {
-        exc_[word] |= 1ull << bit;
-        any = 1;
-      }
-    }
-    if (!any) continue;
-    // Gross-delay: the excited gate output keeps its per-lane frame-1
-    // values.
-    const auto out = static_cast<std::size_t>(g.output);
-    propagate(good2_.data(), W, g.output, good1_.data() + out * W,
-              diff_.data());
-    for (std::size_t w = 0; w < W; ++w)
-      detect[i * W + w] = diff_[w] & exc_[w] & masks_[w];
-  }
+  // A gate's sites are adjacent in enumeration (and collapsed) order, so
+  // its minterm words are rebuilt only when the gate changes.
+  int minterm_gate = -1;
+  propagate_per_net(
+      b, faults.size(), active, detect, [&](std::size_t i, std::uint64_t* act) {
+        const ObdFaultSite& f = faults[i];
+        const auto& g = c_.gate(f.gate_index);
+        if (!logic::is_primitive_cmos(g.type)) return g.output;
+        const auto& table = obd_table(g.type, f.transistor);
+        if (f.gate_index != minterm_gate) {
+          load_minterms(good1_, W, g, minterms1_.data());
+          load_minterms(good2_, W, g, minterms2_.data());
+          minterm_gate = f.gate_index;
+        }
+        // Excited lanes: OR over the table's (v1, v2) entries of
+        // minterm1[v1] & minterm2[v2]. Gross-delay: the excited output keeps
+        // its frame-1 value, which changes the net only where it switches.
+        // OBD excitation already requires that switch; masking with it
+        // keeps the per-net union a pure flip whatever the table holds.
+        const std::size_t n_vec = std::size_t{1} << g.inputs.size();
+        const auto out = static_cast<std::size_t>(g.output) * W;
+        for (std::size_t w = 0; w < W; ++w) {
+          std::uint64_t exc = 0;
+          for (std::size_t v1 = 0; v1 < n_vec; ++v1) {
+            std::uint32_t row = table[v1];
+            if (!row) continue;
+            std::uint64_t m2 = 0;
+            for (; row; row &= row - 1)
+              m2 |= minterms2_[static_cast<std::size_t>(std::countr_zero(row)) *
+                                   W + w];
+            exc |= minterms1_[v1 * W + w] & m2;
+          }
+          act[w] = exc & (good1_[out + w] ^ good2_[out + w]) & masks_[w];
+        }
+        return g.output;
+      });
 }
 
 template <typename Fault, typename BlockFn>

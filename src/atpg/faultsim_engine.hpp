@@ -9,14 +9,18 @@
 //     per word-lane bit, with the multi-word LaneBlock SIMD kernels
 //     (logic/laneblock.hpp) fusing all words of a bundle per gate;
 //   - the good circuit is evaluated once per block (per frame);
-//   - each fault is simulated against the whole block at once: its net is
-//     forced to per-lane words and the change is propagated event-driven
-//     through Circuit::fanout_of in level order — only gates with a
-//     changed input are evaluated, and the walk ends as soon as no queued
-//     gate is left;
-//   - OBD excitation is decided per lane from a per-(gate type, transistor)
-//     lookup table over local two-vectors, so input-specific conditions
-//     cost a table probe instead of a topology walk;
+//   - each fault gets a per-lane activation word (the lanes where it
+//     changes its own net); activations are OR-ed per net and each excited
+//     net is propagated once against the whole block, event-driven through
+//     Circuit::fanout_of in level order — only gates with a changed input
+//     are evaluated, and the walk ends as soon as no queued gate is left.
+//     Every fault on the net then reads its detections off the shared PO
+//     diff, masked by its own activation;
+//   - OBD excitation is computed word-parallel from a per-(gate type,
+//     transistor) lookup table over local two-vectors: the gate's input
+//     words give 2^n minterm words per frame, and the table's (v1, v2)
+//     entries OR their products, so input-specific conditions cost a few
+//     word ops per 64 lanes instead of a topology walk;
 //   - campaigns optionally drop a fault from the active list at its first
 //     detection, so late blocks only pay for the hard remainder.
 //
@@ -164,7 +168,9 @@ class FaultSimEngine {
   // Counters live in the engine's obs::Sheet (see metrics()); hot loops
   // bump them through cached slot pointers at member-increment cost. The
   // getters below keep the original introspection API.
-  /// Fault-injected propagations run (one per excited fault x block).
+  /// Fault-injected propagations run: one per excited *net* x block,
+  /// shared by every fault on that net (sa0/sa1, STR/STF, and all OBD
+  /// sites of a gate propagate together).
   long long propagations() const { return *propagations_; }
   /// Nets whose wide value actually changed during propagation (frontier
   /// membership events, fault sites included).
@@ -243,7 +249,8 @@ class FaultSimEngine {
     std::vector<int> first_test;
     int detected = 0;
     /// Work metric fault dropping shrinks. Pattern-major: (active fault x
-    /// block) pairs simulated (an upper bound on propagations).
+    /// block) pairs simulated (an upper bound on propagations, which count
+    /// excited nets, not faults).
     /// Fault-major: 64-fault words simulated (an upper bound on injected
     /// full-circuit evaluations: words with no excited lane short-circuit).
     /// Not comparable across packings.
@@ -275,6 +282,18 @@ class FaultSimEngine {
   /// (faulty ^ good).
   void propagate(const std::uint64_t* good, std::size_t n_words, NetId forced,
                  const std::uint64_t* forced_words, std::uint64_t* diff);
+  /// The shared body of the block kernels. Sets the block's lane masks,
+  /// then calls `activate(i, act)` for every active fault: it writes the
+  /// fault's W activation words (lanes where the fault flips its net away
+  /// from good2_, lane-masked) to `act` and returns that net. Activations
+  /// are OR-ed per net, each excited net is propagated once with its
+  /// union lanes flipped, and fault i's detect words become its net's PO
+  /// diff & its activation.
+  template <typename ActivateFn>
+  void propagate_per_net(const PatternBlock& b, std::size_t n_faults,
+                         const std::vector<std::uint8_t>* active,
+                         std::vector<std::uint64_t>& detect,
+                         ActivateFn activate);
   /// 2^n x 2^n excitation table for (gate type, transistor): row bit v2 of
   /// entry v1 set when (v1 -> v2) excites the OBD defect.
   const std::array<std::uint16_t, 16>& obd_table(logic::GateType t,
@@ -351,14 +370,21 @@ class FaultSimEngine {
   // level buckets of queued gates (a gate's readers sit at strictly higher
   // levels, so a bucket never grows while it drains) with per-gate queued
   // flags and the non-empty level range, the gate-output staging words,
-  // and per-block masks / per-fault excitation and diff words.
+  // and the per-block lane masks.
   std::vector<std::uint8_t> changed_;
   std::vector<NetId> touched_;
   std::vector<std::vector<int>> buckets_;
   std::vector<std::uint8_t> queued_;
   int lo_ = std::numeric_limits<int>::max();
   int hi_ = 0;
-  std::vector<std::uint64_t> eval_tmp_, force_, diff_, exc_, masks_;
+  std::vector<std::uint64_t> eval_tmp_, force_, masks_;
+  // Per-net sharing scratch (lane-strided): the union of the activations
+  // on each net (all-zero between blocks), each excited net's PO diff, the
+  // excited-net list, each fault's excited net (kNoNet when unexcited),
+  // and the two frames' 16 minterm words of the current OBD gate.
+  std::vector<std::uint64_t> net_act_, net_diff_;
+  std::vector<NetId> excited_nets_, fault_net_;
+  std::vector<std::uint64_t> minterms1_, minterms2_;
   // Fault-major injection scratch: per-net forced-to-{0,1} lane masks, the
   // touched-net reset list, and the faulty valuation buffer.
   std::vector<std::uint64_t> inj_set0_, inj_set1_;
@@ -379,6 +405,7 @@ struct SimStats {
   // Always 0: propagation keeps no fanout-cone store any more.
   std::size_t cone_resident = 0;
   std::size_t cone_peak_bytes = 0;
+  /// One per excited net x block (shared by every fault on the net).
   long long propagations = 0;
   long long frontier_events = 0;
   long long frontier_gate_evals = 0;
@@ -414,10 +441,11 @@ class FaultSimScheduler {
   obs::Sheet merged_metrics() const;
 
   /// kAuto resolution for a call shape. Fault-major pays one full-circuit
-  /// evaluation per 64 faults per test; pattern-major one propagation
-  /// per fault per 64 tests plus a good evaluation per block — so the
-  /// fault axis wins only when the test list is a small fraction of one
-  /// block and the fault list spans words.
+  /// evaluation per 64 faults per test; pattern-major at most one
+  /// propagation per excited net per 64 tests (shared by the net's faults)
+  /// plus a good evaluation per block — so the fault axis wins only when
+  /// the test list is a small fraction of one block and the fault list
+  /// spans words.
   SimPacking resolve_packing(std::size_t n_tests, std::size_t n_faults) const;
 
   /// Workers a pattern-major call with this many blocks actually uses:

@@ -194,7 +194,8 @@ struct CampaignReport {
   long long fault_block_evals = 0;
 
   /// Frontier-propagation counters, summed over the campaign scheduler's
-  /// worker engines (atpg::SimStats).
+  /// worker engines (atpg::SimStats). `propagations` counts excited nets x
+  /// blocks: every fault on a net shares that net's one propagation.
   long long propagations = 0;
   long long frontier_events = 0;
   long long frontier_gate_evals = 0;

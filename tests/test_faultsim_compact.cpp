@@ -1,8 +1,13 @@
 // Fault simulators, detection matrices, compaction.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "atpg/atpg.hpp"
+#include "flow/campaign_detail.hpp"
+#include "io/bench.hpp"
 #include "logic/zoo.hpp"
+#include "util/prng.hpp"
 
 namespace obd::atpg {
 namespace {
@@ -193,6 +198,158 @@ TEST(Compact, EmptyMatrix) {
   EXPECT_TRUE(greedy_cover(m).empty());
   EXPECT_TRUE(exact_cover(m).empty());
   EXPECT_TRUE(covers_all(m, {}));
+}
+
+/// The eager greedy cover, kept as the lazy implementation's oracle:
+/// every pick re-scores every test and takes the first maximum gain.
+std::vector<std::size_t> eager_greedy_cover(const DetectionMatrix& m) {
+  std::vector<std::size_t> picks;
+  if (m.n_tests == 0) return picks;
+  std::vector<std::uint64_t> covered(m.words_per_row, 0);
+  const auto gain_of = [&](std::size_t t) {
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < covered.size(); ++w)
+      n += static_cast<std::size_t>(std::popcount(m.row(t)[w] & ~covered[w]));
+    return n;
+  };
+  std::size_t remaining = static_cast<std::size_t>(m.covered_count);
+  while (remaining > 0) {
+    std::size_t best = 0;
+    std::size_t best_gain = 0;
+    for (std::size_t t = 0; t < m.n_tests; ++t) {
+      const std::size_t gain = gain_of(t);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = t;
+      }
+    }
+    if (best_gain == 0) break;
+    picks.push_back(best);
+    for (std::size_t w = 0; w < covered.size(); ++w)
+      covered[w] |= m.row(best)[w];
+    remaining -= best_gain;
+  }
+  return picks;
+}
+
+/// A seeded random matrix whose shape stresses the cover's tie-breaks:
+/// few distinct gains (ties on every pick), duplicated rows, empty rows,
+/// faults no test detects, and rows spanning several words.
+DetectionMatrix random_matrix(util::Prng& prng) {
+  DetectionMatrix m;
+  m.n_tests = prng.next_below(80);
+  m.n_faults = prng.next_below(300);
+  m.words_per_row = (m.n_faults + 63) / 64;
+  m.rows.assign(m.n_tests * m.words_per_row, 0);
+  // Density from very sparse (many uncoverable faults) to dense.
+  const std::uint64_t per_mille = 5 + prng.next_below(400);
+  for (std::size_t t = 0; t < m.n_tests; ++t) {
+    const std::uint64_t kind = prng.next_below(8);
+    if (kind == 0) continue;  // empty row
+    if (kind == 1 && t > 0) {  // duplicate of an earlier row
+      const std::size_t src = prng.next_below(t);
+      std::copy(m.row(src), m.row(src) + m.words_per_row,
+                m.rows.begin() + static_cast<std::ptrdiff_t>(t * m.words_per_row));
+      continue;
+    }
+    for (std::size_t f = 0; f < m.n_faults; ++f)
+      if (prng.next_below(1000) < per_mille)
+        m.rows[t * m.words_per_row + (f >> 6)] |= 1ull << (f & 63);
+  }
+  m.covered.assign(m.n_faults, false);
+  for (std::size_t f = 0; f < m.n_faults; ++f)
+    for (std::size_t t = 0; t < m.n_tests && !m.covered[f]; ++t)
+      if (m.detects(t, f)) {
+        m.covered[f] = true;
+        ++m.covered_count;
+      }
+  return m;
+}
+
+TEST(Compact, LazyGreedyMatchesEagerPickSequence) {
+  util::Prng prng(0xc0e7);
+  int multiword = 0, uncoverable = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const DetectionMatrix m = random_matrix(prng);
+    multiword += m.words_per_row > 1;
+    uncoverable += m.covered_count < static_cast<int>(m.n_faults);
+    const auto lazy = greedy_cover(m);
+    ASSERT_EQ(lazy, eager_greedy_cover(m))
+        << "trial " << trial << ": " << m.n_tests << " tests x "
+        << m.n_faults << " faults";
+    EXPECT_TRUE(covers_all(m, lazy)) << "trial " << trial;
+  }
+  // The generator really produced the shapes the contract is about.
+  EXPECT_GT(multiword, 100);
+  EXPECT_GT(uncoverable, 100);
+}
+
+TEST(Compact, LazyGreedyTieBreakTakesLowestIndex) {
+  // Rows 1 and 3 tie at the top (gain 3); row 1 must win, then row 3 is
+  // left with gain 1 and ties row 0 and row 2 — the lowest index wins.
+  DetectionMatrix m;
+  m.n_tests = 4;
+  m.n_faults = 5;
+  m.words_per_row = 1;
+  m.rows = {0b00001, 0b01110, 0b10000, 0b00111};
+  m.covered.assign(5, true);
+  m.covered_count = 5;
+  EXPECT_EQ(eager_greedy_cover(m), (std::vector<std::size_t>{1, 0, 2}));
+  EXPECT_EQ(greedy_cover(m), (std::vector<std::size_t>{1, 0, 2}));
+}
+
+/// The detection matrix of the one-shot OBD campaign `obd_atpg <c> --model
+/// obd --backtracks 20 --sat-escalate`, rebuilt through the campaign's own
+/// model hooks: prepass-kept tests, then a PODEM test or SAT cube per
+/// surviving representative, in representative order.
+DetectionMatrix obd_campaign_matrix(const std::string& file) {
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/" + file);
+  EXPECT_TRUE(p.ok) << p.error;
+  flow::CampaignOptions opt;
+  opt.model = flow::FaultModel::kObd;
+  opt.max_backtracks = 20;
+  opt.sat_escalate = true;
+  const flow::detail::CampaignContext ctx = flow::detail::make_context(p.seq, opt);
+  EXPECT_TRUE(ctx.error.empty()) << ctx.error;
+  FaultSimScheduler sched(ctx.view, opt.sim);
+  const std::vector<TwoVectorTest> pool = flow::detail::random_pool(ctx.view, opt);
+  const PrepassMarks marks =
+      mark_first_detections(ctx.prepass(sched, pool, {}), pool.size());
+  std::vector<TwoVectorTest> tests;
+  for (std::size_t t = 0; t < pool.size(); ++t)
+    if (marks.useful[t]) tests.push_back(pool[t]);
+  for (std::uint32_t i = 0; i < ctx.n_reps; ++i) {
+    if (marks.skip[i]) continue;
+    const TwoFrameResult res = ctx.generate(i);
+    if (res.status == PodemStatus::kFound) {
+      tests.push_back(res.test);
+    } else if (res.status == PodemStatus::kAborted &&
+               res.reason != AbortReason::kTime) {
+      const sat::SatAtpgResult sr = ctx.escalate(i);
+      if (sr.verdict == sat::SatVerdict::kCube)
+        tests.push_back(sr.cube.concrete());
+    }
+  }
+  return ctx.matrix(sched, tests, {});
+}
+
+TEST(Compact, LazyGreedyMatchesEagerOnCampaignMatrices) {
+  // The pinned matrix hashes prove these are the campaign's own matrices;
+  // the pick counts are the reports' tests.final.
+  const struct {
+    const char* file;
+    std::uint64_t hash;
+    std::size_t picks;
+  } cases[] = {{"c2670.bench", 0x879931ea3ebbcb87ull, 221},
+               {"c7552.bench", 0x3acbf5af9913764dull, 320}};
+  for (const auto& k : cases) {
+    const DetectionMatrix m = obd_campaign_matrix(k.file);
+    EXPECT_EQ(flow::detail::hash_matrix(m), k.hash) << k.file;
+    const auto lazy = greedy_cover(m);
+    EXPECT_EQ(lazy.size(), k.picks) << k.file;
+    EXPECT_EQ(lazy, eager_greedy_cover(m)) << k.file;
+  }
 }
 
 TEST(Patterns, AllOrderedPairsCount) {

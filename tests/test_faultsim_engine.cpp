@@ -4,7 +4,10 @@
 // live in the shared oracle harness (oracle_common.hpp).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "atpg/atpg.hpp"
+#include "core/excitation.hpp"
 #include "io/bench.hpp"
 #include "logic/laneblock.hpp"
 #include "logic/zoo.hpp"
@@ -233,12 +236,97 @@ Resimulated resimulate(const Circuit& c, const std::vector<std::uint64_t>& pi,
   return r;
 }
 
-/// Every stuck-at and transition fault of `c` against one full random
-/// block of 64 * lane_words tests: the engine's per-propagation gate-eval
-/// and event counts equal the re-simulation's (so no gate is evaluated
-/// twice, however many of its inputs change, and none is evaluated
-/// without a changed input), and its detection words equal the
-/// re-simulated PO diff on the excited lanes.
+/// Forced words that flip `net` away from the good frame-2 valuation on the
+/// `act` lanes only: what the engine propagates for a fault activated
+/// there.
+std::vector<std::uint64_t> flip_lanes(const std::vector<std::uint64_t>& good2,
+                                      std::size_t W, logic::NetId net,
+                                      const std::vector<std::uint64_t>& act) {
+  std::vector<std::uint64_t> forced(W);
+  for (std::size_t w = 0; w < W; ++w)
+    forced[w] = good2[static_cast<std::size_t>(net) * W + w] ^ act[w];
+  return forced;
+}
+
+/// Per-lane OBD excitation words of `f` under the block's good frames,
+/// decided lane by lane from the excitation rules (independent of the
+/// engine's word-parallel table walk).
+std::vector<std::uint64_t> obd_excitation(
+    const Circuit& c, const ObdFaultSite& f, std::size_t W,
+    const std::vector<std::uint64_t>& good1,
+    const std::vector<std::uint64_t>& good2) {
+  std::vector<std::uint64_t> exc(W, 0);
+  const auto& g = c.gate(f.gate_index);
+  if (!logic::is_primitive_cmos(g.type)) return exc;
+  const auto topo = logic::gate_topology(g.type);
+  for (std::size_t lane = 0; lane < W * 64; ++lane) {
+    const std::size_t w = lane >> 6, bit = lane & 63;
+    std::uint32_t v1 = 0, v2 = 0;
+    for (std::size_t k = 0; k < g.inputs.size(); ++k) {
+      const auto in = static_cast<std::size_t>(g.inputs[k]) * W + w;
+      v1 |= static_cast<std::uint32_t>((good1[in] >> bit) & 1u) << k;
+      v2 |= static_cast<std::uint32_t>((good2[in] >> bit) & 1u) << k;
+    }
+    if (core::excites_obd(*topo, f.transistor, cells::TwoVector{v1, v2}))
+      exc[w] |= 1ull << bit;
+  }
+  return exc;
+}
+
+/// What the single-fault calls of one fault kind produced, for the
+/// multi-fault check: each fault's detect words (fault-major, W per
+/// fault) and the net it excites in the block (kNoNet when none).
+struct SingleCalls {
+  std::vector<std::uint64_t> detect;
+  std::vector<logic::NetId> excited_net;
+};
+
+/// One kernel call with every fault, then one with about half of them
+/// inactive: each fault's detect words equal its single-fault call's (0
+/// when inactive), and the call propagates at most once per distinct
+/// excited net among its active faults.
+template <typename Fault, typename Kernel>
+void expect_shared_propagation(FaultSimEngine& engine, const PatternBlock& b,
+                               const std::vector<Fault>& faults,
+                               const SingleCalls& single, Kernel kernel,
+                               const std::string& kind, std::uint64_t seed) {
+  const auto W = static_cast<std::size_t>(b.lane_words());
+  util::Prng prng(seed);
+  std::vector<std::uint8_t> half(faults.size());
+  for (auto& a : half) a = prng.next_bool();
+  const std::vector<std::uint8_t>* const modes[] = {nullptr, &half};
+  for (const std::vector<std::uint8_t>* active : modes) {
+    const auto on = [&](std::size_t i) { return !active || (*active)[i]; };
+    std::set<logic::NetId> nets;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      if (on(i) && single.excited_net[i] != logic::kNoNet)
+        nets.insert(single.excited_net[i]);
+    const long long props = engine.propagations();
+    std::vector<std::uint64_t> detect;
+    (engine.*kernel)(b, faults, detect, active);
+    const std::string name = kind + (active ? " half" : " all");
+    EXPECT_LE(engine.propagations() - props,
+              static_cast<long long>(nets.size()))
+        << name;
+    if (!nets.empty()) {
+      EXPECT_GT(engine.propagations(), props) << name;
+    }
+    ASSERT_EQ(detect.size(), faults.size() * W) << name;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      for (std::size_t w = 0; w < W; ++w)
+        EXPECT_EQ(detect[i * W + w], on(i) ? single.detect[i * W + w] : 0u)
+            << name << " fault " << i << " word " << w;
+  }
+}
+
+/// Every stuck-at, transition and OBD fault of `c` against one full random
+/// block of 64 * lane_words tests. Each single-fault call's gate-eval and
+/// event counts equal the re-simulation of the lanes it flips (so no gate
+/// is evaluated twice, however many of its inputs change, and none is
+/// evaluated without a changed input), and its detection words equal the
+/// re-simulated PO diff of the fault's full faulty value on its excited
+/// lanes. Calls with every fault at once must reproduce the single-fault
+/// words while sharing one propagation per excited net.
 void expect_propagation_matches_resimulation(const Circuit& c, int lane_words,
                                              std::uint64_t seed) {
   const auto W = static_cast<std::size_t>(lane_words);
@@ -252,46 +340,99 @@ void expect_propagation_matches_resimulation(const Circuit& c, int lane_words,
   c.eval_wide_into(b.pi1(), W, good1);
   c.eval_wide_into(b.pi2(), W, good2);
   FaultSimEngine engine(c, {.lane_words = lane_words});
-
-  for (const StuckFault& f : enumerate_stuck_faults(c)) {
-    const std::vector<std::uint64_t> forced(W, f.value ? ~0ull : 0ull);
-    const Resimulated want =
-        resimulate(c, b.pi2(), W, good2, f.net, forced.data());
+  const auto any = [](const std::vector<std::uint64_t>& words) {
+    return std::any_of(words.begin(), words.end(),
+                       [](std::uint64_t x) { return x != 0; });
+  };
+  // One single-fault call: counters against the re-simulation of the
+  // flipped lanes `act`, detect words against `want_detect`.
+  const auto check_single = [&](const std::string& name, auto call,
+                                logic::NetId net,
+                                const std::vector<std::uint64_t>& act,
+                                const std::vector<std::uint64_t>& want_detect,
+                                SingleCalls& out) {
+    Resimulated want;
+    if (any(act))
+      want = resimulate(c, b.pi2(), W, good2, net,
+                        flip_lanes(good2, W, net, act).data());
     const long long evals = engine.frontier_gate_evals();
     const long long events = engine.frontier_events();
-    engine.block_stuck(b, {f}, detect);
-    const std::string name = c.net_name(f.net) + (f.value ? "/1" : "/0");
+    call();
     EXPECT_EQ(engine.frontier_gate_evals() - evals, want.gate_evals) << name;
     EXPECT_EQ(engine.frontier_events() - events, want.events) << name;
     for (std::size_t w = 0; w < W; ++w)
-      EXPECT_EQ(detect[w], want.po_diff[w]) << name << " word " << w;
+      EXPECT_EQ(detect[w], want_detect[w]) << name << " word " << w;
+    out.detect.insert(out.detect.end(), detect.begin(), detect.begin() + W);
+    out.excited_net.push_back(any(act) ? net : logic::kNoNet);
+  };
+
+  const std::vector<StuckFault> stuck = enumerate_stuck_faults(c);
+  SingleCalls stuck_single;
+  for (const StuckFault& f : stuck) {
+    const std::vector<std::uint64_t> forced(W, f.value ? ~0ull : 0ull);
+    std::vector<std::uint64_t> act(W);
+    for (std::size_t w = 0; w < W; ++w)
+      act[w] = good2[static_cast<std::size_t>(f.net) * W + w] ^ forced[w];
+    check_single(
+        c.net_name(f.net) + (f.value ? "/1" : "/0"),
+        [&] { engine.block_stuck(b, {f}, detect); }, f.net, act,
+        resimulate(c, b.pi2(), W, good2, f.net, forced.data()).po_diff,
+        stuck_single);
   }
 
-  // Transition faults force per-lane frame-1 words rather than a constant;
-  // the engine propagates only when some lane carries the slow transition.
-  for (const TransitionFault& f : enumerate_transition_faults(c)) {
+  // A transition fault holds the per-lane frame-1 value; the engine flips
+  // only its excited lanes, so its counters follow good2 ^ exc while its
+  // detections equal the full frame-1 forcing on the excited lanes.
+  const std::vector<TransitionFault> trans = enumerate_transition_faults(c);
+  SingleCalls trans_single;
+  for (const TransitionFault& f : trans) {
     const auto s = static_cast<std::size_t>(f.net);
-    std::vector<std::uint64_t> exc(W);
-    std::uint64_t any = 0;
+    std::vector<std::uint64_t> exc(W), want(W, 0);
     for (std::size_t w = 0; w < W; ++w) {
       const std::uint64_t o1 = good1[s * W + w], o2 = good2[s * W + w];
       exc[w] = f.slow_to_rise ? (~o1 & o2) : (o1 & ~o2);
-      any |= exc[w];
     }
-    Resimulated want;
-    want.po_diff.assign(W, 0);
-    if (any)
-      want = resimulate(c, b.pi2(), W, good2, f.net, good1.data() + s * W);
-    const long long evals = engine.frontier_gate_evals();
-    const long long events = engine.frontier_events();
-    engine.block_transition(b, {f}, detect);
-    const std::string name =
-        c.net_name(f.net) + (f.slow_to_rise ? " STR" : " STF");
-    EXPECT_EQ(engine.frontier_gate_evals() - evals, want.gate_evals) << name;
-    EXPECT_EQ(engine.frontier_events() - events, want.events) << name;
-    for (std::size_t w = 0; w < W; ++w)
-      EXPECT_EQ(detect[w], want.po_diff[w] & exc[w]) << name << " word " << w;
+    if (any(exc)) {
+      want = resimulate(c, b.pi2(), W, good2, f.net, good1.data() + s * W)
+                 .po_diff;
+      for (std::size_t w = 0; w < W; ++w) want[w] &= exc[w];
+    }
+    check_single(
+        c.net_name(f.net) + (f.slow_to_rise ? " STR" : " STF"),
+        [&] { engine.block_transition(b, {f}, detect); }, f.net, exc, want,
+        trans_single);
   }
+
+  // An excited OBD site holds its gate output at the frame-1 value, which
+  // changes the net only on lanes where the output switches.
+  const std::vector<ObdFaultSite> obd = enumerate_obd_faults(c);
+  SingleCalls obd_single;
+  for (const ObdFaultSite& f : obd) {
+    const logic::NetId out = c.gate(f.gate_index).output;
+    const auto s = static_cast<std::size_t>(out);
+    const std::vector<std::uint64_t> exc =
+        obd_excitation(c, f, W, good1, good2);
+    std::vector<std::uint64_t> act(W), want(W, 0);
+    for (std::size_t w = 0; w < W; ++w)
+      act[w] = exc[w] & (good1[s * W + w] ^ good2[s * W + w]);
+    if (any(exc)) {
+      want = resimulate(c, b.pi2(), W, good2, out, good1.data() + s * W)
+                 .po_diff;
+      for (std::size_t w = 0; w < W; ++w)
+        want[w] &= exc[w] & b.lane_mask(static_cast<int>(w));
+    }
+    check_single(
+        fault_name(c, f), [&] { engine.block_obd(b, {f}, detect); }, out, act,
+        want, obd_single);
+  }
+
+  expect_shared_propagation(engine, b, stuck, stuck_single,
+                            &FaultSimEngine::block_stuck, "stuck", seed ^ 1);
+  expect_shared_propagation(engine, b, trans, trans_single,
+                            &FaultSimEngine::block_transition, "transition",
+                            seed ^ 2);
+  expect_shared_propagation(engine, b, obd, obd_single,
+                            &FaultSimEngine::block_obd, "obd", seed ^ 3);
 }
 
 /// a feeds a gate on both of its inputs (sq = AND(a, a)) and reconverges
