@@ -20,6 +20,7 @@
 
 #include "atpg/atpg.hpp"
 #include "flow/campaign.hpp"
+#include "flow/campaign_detail.hpp"
 #include "io/bench.hpp"
 #include "logic/logic.hpp"
 #include "obs/trace.hpp"
@@ -194,10 +195,11 @@ struct DeltaRow {
   double speedup() const { return off_s / on_s; }
 };
 
-/// Incremental SAT on the PODEM abort tail: the same starved-backtracks
-/// campaign solved twice, once re-encoding per fault (fresh) and once on
-/// the persistent assumption-based session. Verdicts must match exactly;
-/// conflicts_saved = fresh_conflicts - incremental_conflicts is the win.
+/// Incremental SAT on the PODEM abort tail of a starved-backtracks OBD
+/// campaign: every aborted fault solved twice, once by the fresh per-fault
+/// encoder and once on one persistent assumption-based session. Verdicts
+/// and cubes must match exactly; conflicts_saved = fresh_conflicts -
+/// incremental_conflicts is the win.
 struct IncSatRow {
   std::string circuit;
   long backtracks = 0;
@@ -657,10 +659,10 @@ std::vector<DeltaRow> reproduce_delta_goods() {
   return rows;
 }
 
-/// Incremental SAT on the PODEM abort tail: the reproduce_sat_escalation
-/// campaigns run twice more, once with per-fault fresh encoding and once
-/// on the persistent assumption-based session, to price the win the
-/// shared clause database buys on a refutation-heavy tail.
+/// Incremental SAT on the PODEM abort tail: the campaign's prepass and
+/// top-off run through its own hooks, and every backtrack abort goes to the
+/// fresh per-fault encoder and to one persistent session in turn, to price
+/// the win the shared clause database buys on a refutation-heavy tail.
 std::vector<IncSatRow> reproduce_incremental_sat() {
   std::printf(
       "=== Incremental SAT: fresh per-fault encoding vs assumption-based "
@@ -686,30 +688,45 @@ std::vector<IncSatRow> reproduce_incremental_sat() {
     opt.model = flow::FaultModel::kObd;
     opt.max_backtracks = spec.backtracks;
     opt.sim.threads = 2;
-    opt.sat_escalate = true;
+    const flow::detail::CampaignContext ctx =
+        flow::detail::make_context(pr.seq, opt);
+    const std::vector<ObdFaultSite> reps =
+        collapse_obd_faults(ctx.view, enumerate_obd_faults(ctx.view))
+            .representatives;
+    FaultSimScheduler sched(ctx.view, opt.sim);
+    const std::vector<TwoVectorTest> pool = flow::detail::random_pool(ctx.view, opt);
+    const PrepassMarks marks =
+        mark_first_detections(ctx.prepass(sched, pool, {}), pool.size());
 
-    opt.sat_incremental = false;
-    const flow::CampaignReport fresh = flow::run_campaign(pr.seq, opt);
-    opt.sat_incremental = true;
-    const flow::CampaignReport inc = flow::run_campaign(pr.seq, opt);
-
+    sat::SatAtpgOptions satopt;
+    satopt.conflict_budget = opt.sat_conflict_budget;
+    sat::SatSession session(ctx.view, satopt);
     IncSatRow row;
     row.circuit = pr.circuit().name();
     row.backtracks = spec.backtracks;
-    row.sat_detected = inc.sat_detected;
-    row.sat_untestable = inc.sat_untestable;
-    row.sat_unknown = inc.sat_unknown;
-    row.fresh_conflicts = fresh.sat_conflicts;
-    row.inc_conflicts = inc.sat_conflicts;
-    row.cone_hits = inc.sat_cone_hits;
-    row.inc_refutes = inc.sat_incremental_refutes;
-    row.clauses_kept = inc.sat_clauses_kept;
-    row.fresh_sat_s = fresh.time.sat_s;
-    row.inc_sat_s = inc.time.sat_s;
-    row.identical = fresh.matrix_hash == inc.matrix_hash &&
-                    fresh.sat_detected == inc.sat_detected &&
-                    fresh.sat_untestable == inc.sat_untestable &&
-                    fresh.sat_unknown == inc.sat_unknown;
+    row.identical = true;
+    for (std::uint32_t i = 0; i < reps.size(); ++i) {
+      if (marks.skip[i]) continue;
+      const TwoFrameResult res = ctx.generate(i);
+      if (res.status != PodemStatus::kAborted) continue;
+      auto t0 = Clock::now();
+      const sat::SatAtpgResult fresh =
+          sat::sat_generate_obd_test(ctx.view, reps[i], satopt);
+      row.fresh_sat_s += seconds_since(t0);
+      t0 = Clock::now();
+      const sat::SatAtpgResult inc = session.generate_obd_test(reps[i]);
+      row.inc_sat_s += seconds_since(t0);
+      row.fresh_conflicts += fresh.conflicts;
+      row.inc_conflicts += inc.conflicts;
+      row.sat_detected += inc.verdict == sat::SatVerdict::kCube;
+      row.sat_untestable += inc.verdict == sat::SatVerdict::kUntestable;
+      row.sat_unknown += inc.verdict == sat::SatVerdict::kUnknown;
+      row.identical = row.identical && fresh.verdict == inc.verdict &&
+                      fresh.cube == inc.cube;
+    }
+    row.cone_hits = session.stats().cone_hits;
+    row.inc_refutes = session.stats().incremental_refutes;
+    row.clauses_kept = session.stats().clauses_kept;
     rows.push_back(row);
     t.add_row({row.circuit, std::to_string(row.backtracks),
                std::to_string(row.sat_detected),

@@ -8,7 +8,6 @@
 
 #include "flow/campaign_detail.hpp"
 #include "obs/trace.hpp"
-#include "util/prng.hpp"
 #include "util/table.hpp"
 
 namespace obd::flow {
@@ -29,47 +28,49 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Campaign-level metric ids (the scheduler's engine metrics are merged in
-/// separately via FaultSimScheduler::merged_metrics).
-struct FlowMetricIds {
-  obs::MetricId podem_found;
-  obs::MetricId podem_untestable;
-  obs::MetricId podem_aborted;
-  obs::MetricId sat_conflicts;
-  obs::MetricId sat_decisions;
-  obs::MetricId sat_restarts;
-  obs::MetricId sat_conflicts_per_fault;
-  obs::MetricId sat_inc_pairs;
-  obs::MetricId sat_inc_cone_encodes;
-  obs::MetricId sat_inc_cone_hits;
-  obs::MetricId sat_inc_refutes;
-  obs::MetricId sat_inc_fresh;
-  obs::MetricId sat_inc_vars_shared;
-  obs::MetricId sat_inc_clauses_kept;
-  obs::MetricId seeded_tests;
-  static const FlowMetricIds& get() {
-    static const FlowMetricIds ids = [] {
-      FlowMetricIds m;
-      m.podem_found = obs::counter("atpg.podem_found");
-      m.podem_untestable = obs::counter("atpg.podem_untestable");
-      m.podem_aborted = obs::counter("atpg.podem_aborted");
-      m.sat_conflicts = obs::counter("sat.conflicts");
-      m.sat_decisions = obs::counter("sat.decisions");
-      m.sat_restarts = obs::counter("sat.restarts");
-      m.sat_conflicts_per_fault = obs::histogram("sat.conflicts_per_fault");
-      m.sat_inc_pairs = obs::counter("sat.incremental_pairs");
-      m.sat_inc_cone_encodes = obs::counter("sat.cone_encodes");
-      m.sat_inc_cone_hits = obs::counter("sat.cone_hits");
-      m.sat_inc_refutes = obs::counter("sat.incremental_refutes");
-      m.sat_inc_fresh = obs::counter("sat.fresh_fallbacks");
-      m.sat_inc_vars_shared = obs::counter("sat.vars_shared");
-      m.sat_inc_clauses_kept = obs::counter("sat.clauses_kept");
-      m.seeded_tests = obs::counter("atpg.seeded_tests");
-      return m;
-    }();
-    return ids;
+/// Copies the scheduler's aggregated frontier counters into the report
+/// (taken after the last fault-sim call so prepass + matrix work is
+/// included).
+void fill_sim_stats(const FaultSimScheduler& sched, CampaignReport& r) {
+  const atpg::SimStats s = sched.stats();
+  r.propagations = s.propagations;
+  r.frontier_events = s.frontier_events;
+  r.frontier_gate_evals = s.frontier_gate_evals;
+}
+
+/// Shared campaign tail: detection matrix over the final test set, greedy
+/// compaction, and the derived report fields.
+void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
+                        const std::function<DetectionMatrix()>& build,
+                        CampaignReport& r) {
+  const auto t0 = Clock::now();
+  obs::Span matrix_span("matrix");
+  const DetectionMatrix m = build();
+  matrix_span.close();
+  r.detected = m.covered_count;
+  r.matrix_hash = detail::hash_matrix(m);
+  r.time.matrix_s = seconds_since(t0);
+  r.tests_final = static_cast<int>(n_tests);
+  if (opt.compact && n_tests > 0) {
+    const obs::Span span("compact");
+    const auto t1 = Clock::now();
+    r.tests_final = static_cast<int>(greedy_cover(m).size());
+    r.time.compact_s = seconds_since(t1);
   }
-};
+}
+
+/// Coverage over the collapsed representatives and over the provably
+/// coverable ones (representatives minus PODEM- and SAT-proven untestable).
+void fill_coverage(std::size_t n_reps, CampaignReport& r) {
+  r.coverage =
+      static_cast<double>(r.detected) / static_cast<double>(n_reps);
+  const std::size_t provable =
+      n_reps - static_cast<std::size_t>(r.untestable + r.sat_untestable);
+  r.provable_coverage =
+      provable == 0 ? 1.0
+                    : static_cast<double>(r.detected) /
+                          static_cast<double>(provable);
+}
 
 /// Materializes a representative subset; empty subset = the full list.
 template <typename Fault>
@@ -139,208 +140,11 @@ void drive_loc_scan(const logic::SequentialCircuit& seq,
   for (const ScanObdTest& t : sc.tests)
     vectors.push_back(scan_view_vectors(prim, t));
   FaultSimScheduler sched(view, opt.sim);
-  detail::matrix_and_compact(opt, vectors.size(),
-                             [&] { return sched.matrix_obd(vectors, reps); },
-                             r);
-  detail::fill_sim_stats(sched, r);
+  matrix_and_compact(opt, vectors.size(),
+                     [&] { return sched.matrix_obd(vectors, reps); }, r);
+  fill_sim_stats(sched, r);
   r.metrics = obs::snapshot(sched.merged_metrics());
-  r.coverage =
-      static_cast<double>(r.detected) / static_cast<double>(reps.size());
-  const std::size_t provable =
-      reps.size() - static_cast<std::size_t>(r.untestable);
-  r.provable_coverage =
-      provable == 0 ? 1.0
-                    : static_cast<double>(r.detected) /
-                          static_cast<double>(provable);
-  r.time.total_s = seconds_since(t_total);
-}
-
-/// Shared campaign skeleton over the model context: prepass, deterministic
-/// top-off, matrix, compaction. The one-shot counterpart of the shard
-/// executor — both call the same ctx hooks, so a sharded merge reproducing
-/// this path bit-for-bit is structural, not coincidental.
-/// Deterministic random completion of a SAT cube's don't-care bits. Stuck
-/// campaigns keep the single-vector convention (v1 == v2); two-frame ones
-/// fill each frame independently.
-TwoVectorTest fill_cube(const XTwoVectorTest& cube, std::size_t n_pi,
-                        FaultModel model, util::Prng& prng) {
-  TwoVectorTest t = cube.concrete();
-  for (std::size_t b = 0; b < n_pi; ++b)
-    if (!cube.v2.care_mask.bit(b)) t.v2.set_bit(b, prng.next_bool());
-  if (model == FaultModel::kStuck) {
-    t.v1 = t.v2;
-    return t;
-  }
-  for (std::size_t b = 0; b < n_pi; ++b)
-    if (!cube.v1.care_mask.bit(b)) t.v1.set_bit(b, prng.next_bool());
-  return t;
-}
-
-void drive_ctx(const detail::CampaignContext& ctx, const CampaignOptions& opt,
-               CampaignReport& r,
-               detail::RepSubset* sat_untestable_out = nullptr) {
-  const auto t_total = Clock::now();
-  r.faults_total = ctx.faults_total;
-  r.faults_collapsed = ctx.n_reps;
-  if (ctx.n_reps == 0) {
-    r.coverage = 1.0;
-    r.provable_coverage = 1.0;
-    r.time.total_s = seconds_since(t_total);
-    return;
-  }
-
-  FaultSimScheduler sched(ctx.view, opt.sim);
-  std::vector<TwoVectorTest> tests;
-  std::vector<std::uint8_t> skip(ctx.n_reps, 0);
-
-  // Random-pattern fault-dropping prepass: detected faults skip the
-  // deterministic search; each first-detecting pattern joins the set.
-  if (opt.random_patterns > 0) {
-    const obs::Span span("prepass");
-    const auto t0 = Clock::now();
-    const std::vector<TwoVectorTest> pool = detail::random_pool(ctx.view, opt);
-    const FaultSimEngine::Campaign campaign = ctx.prepass(sched, pool, {});
-    r.fault_block_evals = campaign.fault_block_evals;
-    const PrepassMarks marks = mark_first_detections(campaign, pool.size());
-    skip = marks.skip;
-    for (std::size_t t = 0; t < pool.size(); ++t)
-      if (marks.useful[t]) tests.push_back(pool[t]);
-    r.tests_random = static_cast<int>(tests.size());
-    r.time.random_s = seconds_since(t0);
-  }
-
-  // Deterministic top-off over the surviving representatives. Backtrack
-  // aborts optionally escalate inline to the SAT backend — the cube (or
-  // proof) lands at the same position a PODEM test would have, so
-  // escalation preserves the cross-thread/shard determinism contract.
-  obs::Sheet csheet;
-  {
-    const obs::Span span("topoff");
-    const FlowMetricIds& mids = FlowMetricIds::get();
-    const auto t0 = Clock::now();
-    const auto record_abort = [&](std::uint32_t i, bool timed) {
-      ++r.aborted;
-      if (timed) ++r.aborted_time;
-      else ++r.aborted_backtracks;
-      if (ctx.rep_name) r.aborted_faults.push_back(ctx.rep_name(i));
-    };
-    std::vector<TwoVectorTest> seed_pool;
-    for (std::uint32_t i = 0; i < ctx.n_reps; ++i) {
-      if (skip[i]) continue;
-      // SAT-cube seed pool: before paying for a PODEM search, try the
-      // random completions of earlier escalation cubes — aborts cluster
-      // structurally, so one hard fault's cube often covers its neighbors.
-      if (!seed_pool.empty()) {
-        const FaultSimEngine::Campaign sc = ctx.prepass(sched, seed_pool, {i});
-        if (sc.first_test[0] >= 0) {
-          tests.push_back(seed_pool[static_cast<std::size_t>(sc.first_test[0])]);
-          ++r.seeded_tests;
-          csheet.add(mids.seeded_tests);
-          continue;
-        }
-      }
-      const TwoFrameResult res = ctx.generate(i);
-      r.podem_implications += res.implications;
-      r.podem_backtracks += res.backtracks;
-      switch (res.status) {
-        case PodemStatus::kFound:
-          tests.push_back(res.test);
-          ++r.tests_deterministic;
-          csheet.add(mids.podem_found);
-          break;
-        case PodemStatus::kUntestable:
-          ++r.untestable;
-          csheet.add(mids.podem_untestable);
-          break;
-        case PodemStatus::kAborted: {
-          const bool timed = res.reason == AbortReason::kTime;
-          csheet.add(mids.podem_aborted);
-          if (timed || !opt.sat_escalate || !ctx.escalate) {
-            record_abort(i, timed);
-            break;
-          }
-          const auto t_sat = Clock::now();
-          const obs::Span sat_span("sat-escalate");
-          const sat::SatAtpgResult sr = ctx.escalate(i);
-          r.time.sat_s += seconds_since(t_sat);
-          r.sat_conflicts += sr.conflicts;
-          r.sat_decisions += sr.decisions;
-          r.sat_restarts += sr.restarts;
-          ++r.sat_conflicts_hist[static_cast<std::size_t>(
-              obs::log2_bucket(static_cast<std::uint64_t>(sr.conflicts)))];
-          csheet.add(mids.sat_conflicts, sr.conflicts);
-          csheet.add(mids.sat_decisions, sr.decisions);
-          csheet.add(mids.sat_restarts, sr.restarts);
-          csheet.observe(mids.sat_conflicts_per_fault,
-                         static_cast<std::uint64_t>(sr.conflicts));
-          switch (sr.verdict) {
-            case sat::SatVerdict::kCube:
-              tests.push_back(sr.cube.concrete());
-              ++r.sat_detected;
-              if (opt.seed_sat_cubes) {
-                util::Prng prng(opt.seed ^ (0x5eedc0beull + i));
-                for (int k = 0; k < 4; ++k)
-                  seed_pool.push_back(fill_cube(sr.cube,
-                                                ctx.view.inputs().size(),
-                                                opt.model, prng));
-              }
-              break;
-            case sat::SatVerdict::kUntestable:
-              ++r.sat_untestable;
-              if (sat_untestable_out) sat_untestable_out->push_back(i);
-              break;
-            case sat::SatVerdict::kUnknown:
-              ++r.sat_unknown;
-              record_abort(i, false);
-              break;
-          }
-          break;
-        }
-      }
-    }
-    // Incremental-session totals (nullptr when nothing escalated or the
-    // session is off). Deterministic per configuration: escalation order
-    // and the persistent solver are both deterministic.
-    if (ctx.escalate_stats) {
-      if (const sat::SatSessionStats* ss = ctx.escalate_stats()) {
-        r.sat_pairs = ss->pairs_total;
-        r.sat_cone_encodes = ss->cone_encodes;
-        r.sat_cone_hits = ss->cone_hits;
-        r.sat_unobservable_hits = ss->unobservable_hits;
-        r.sat_incremental_refutes = ss->incremental_refutes;
-        r.sat_fresh_fallbacks = ss->fresh_fallbacks;
-        r.sat_vars_shared = ss->vars_shared;
-        r.sat_clauses_kept = ss->clauses_kept;
-        csheet.add(mids.sat_inc_pairs, ss->pairs_total);
-        csheet.add(mids.sat_inc_cone_encodes, ss->cone_encodes);
-        csheet.add(mids.sat_inc_cone_hits, ss->cone_hits);
-        csheet.add(mids.sat_inc_refutes, ss->incremental_refutes);
-        csheet.add(mids.sat_inc_fresh, ss->fresh_fallbacks);
-        csheet.add(mids.sat_inc_vars_shared, ss->vars_shared);
-        csheet.add(mids.sat_inc_clauses_kept, ss->clauses_kept);
-      }
-    }
-    r.time.atpg_s = seconds_since(t0);
-  }
-
-  // Detection matrix over the final set: recounts every detection (the
-  // prepass only tracked first hits) and is the cross-thread witness.
-  detail::matrix_and_compact(opt, tests.size(),
-                             [&] { return ctx.matrix(sched, tests, {}); }, r);
-  detail::fill_sim_stats(sched, r);
-  {
-    obs::Sheet merged = sched.merged_metrics();
-    merged.merge_from(csheet);
-    r.metrics = obs::snapshot(merged);
-  }
-  r.coverage = static_cast<double>(r.detected) /
-               static_cast<double>(ctx.n_reps);
-  const std::size_t provable =
-      ctx.n_reps - static_cast<std::size_t>(r.untestable + r.sat_untestable);
-  r.provable_coverage =
-      provable == 0 ? 1.0
-                    : static_cast<double>(r.detected) /
-                          static_cast<double>(provable);
+  fill_coverage(reps.size(), r);
   r.time.total_s = seconds_since(t_total);
 }
 
@@ -364,32 +168,6 @@ void fill_structure(const logic::Circuit& view, CampaignReport& r) {
   r.depth = view.depth();
 }
 
-void fill_sim_stats(const FaultSimScheduler& sched, CampaignReport& r) {
-  const atpg::SimStats s = sched.stats();
-  r.propagations = s.propagations;
-  r.frontier_events = s.frontier_events;
-  r.frontier_gate_evals = s.frontier_gate_evals;
-}
-
-void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
-                        const std::function<DetectionMatrix()>& build,
-                        CampaignReport& r) {
-  const auto t0 = Clock::now();
-  obs::Span matrix_span("matrix");
-  const DetectionMatrix m = build();
-  matrix_span.close();
-  r.detected = m.covered_count;
-  r.matrix_hash = hash_matrix(m);
-  r.time.matrix_s = seconds_since(t0);
-  r.tests_final = static_cast<int>(n_tests);
-  if (opt.compact && n_tests > 0) {
-    const obs::Span span("compact");
-    const auto t1 = Clock::now();
-    r.tests_final = static_cast<int>(greedy_cover(m).size());
-    r.time.compact_s = seconds_since(t1);
-  }
-}
-
 std::vector<TwoVectorTest> random_pool(const logic::Circuit& view,
                                        const CampaignOptions& opt) {
   if (opt.random_patterns <= 0) return {};
@@ -411,6 +189,107 @@ void init_report(const logic::SequentialCircuit& seq,
   r.circuit = seq.core().name();
 }
 
+void merge_states(const CampaignContext& ctx, const CampaignOptions& opt,
+                  FaultSimScheduler& sched,
+                  const std::vector<TwoVectorTest>& pool,
+                  const std::vector<const ShardState*>& states,
+                  std::uint32_t shard_count, CampaignReport& r) {
+  const auto t_total = Clock::now();
+  r.faults_total = ctx.faults_total;
+  r.faults_collapsed = ctx.n_reps;
+  r.time.collapse_s = ctx.collapse_s;
+  if (ctx.n_reps == 0) {
+    r.coverage = 1.0;
+    r.provable_coverage = 1.0;
+    r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
+    return;
+  }
+
+  // Pool tests that first-detected a fault in any shard, in pool order.
+  std::vector<std::uint32_t> useful;
+  for (const ShardState* s : states)
+    useful.insert(useful.end(), s->useful_pool.begin(), s->useful_pool.end());
+  std::sort(useful.begin(), useful.end());
+  useful.erase(std::unique(useful.begin(), useful.end()), useful.end());
+
+  // Deterministic tests (PODEM tests and SAT cubes) back in global
+  // representative order.
+  struct DetEntry {
+    std::uint64_t global;
+    const TwoVectorTest* test;
+  };
+  std::vector<DetEntry> det;
+  for (const ShardState* s : states)
+    for (const ShardDetTest& d : s->det_tests)
+      det.push_back({s->shard_index +
+                         static_cast<std::uint64_t>(d.local_index) *
+                             shard_count,
+                     &d.test});
+  std::sort(det.begin(), det.end(),
+            [](const DetEntry& a, const DetEntry& b) {
+              return a.global < b.global;
+            });
+
+  std::vector<TwoVectorTest> tests;
+  tests.reserve(useful.size() + det.size());
+  for (const std::uint32_t t : useful) tests.push_back(pool[t]);
+  for (const DetEntry& d : det) tests.push_back(*d.test);
+  r.tests_random = static_cast<int>(useful.size());
+
+  std::vector<std::uint64_t> aborted_globals;
+  for (const ShardState* s : states) {
+    r.fault_block_evals += s->fault_block_evals;
+    r.sat_conflicts += s->sat_conflicts;
+    r.sat_decisions += s->sat_decisions;
+    r.sat_restarts += s->sat_restarts;
+    r.podem_implications += s->podem_implications;
+    r.podem_backtracks += s->podem_backtracks;
+    for (std::size_t k = 0; k < s->sat_hist.size(); ++k)
+      r.sat_conflicts_hist[k] += s->sat_hist[k];
+    for (std::size_t j = 0; j < s->status.size(); ++j) {
+      const auto record_abort = [&] {
+        ++r.aborted;
+        aborted_globals.push_back(s->shard_index + j * shard_count);
+      };
+      switch (s->status[j]) {
+        case FaultStatus::kTestFound: ++r.tests_deterministic; break;
+        case FaultStatus::kUntestable: ++r.untestable; break;
+        case FaultStatus::kAbortedBacktracks:
+          record_abort();
+          ++r.aborted_backtracks;
+          break;
+        case FaultStatus::kAbortedTime:
+          record_abort();
+          ++r.aborted_time;
+          break;
+        case FaultStatus::kSatCube: ++r.sat_detected; break;
+        case FaultStatus::kSatUntestable: ++r.sat_untestable; break;
+        case FaultStatus::kSatUnknown:
+          // Budget-exhausted escalation: still an unresolved backtrack
+          // abort from the campaign's point of view.
+          ++r.sat_unknown;
+          record_abort();
+          ++r.aborted_backtracks;
+          break;
+        default: break;
+      }
+    }
+  }
+  // Shards visit faults in shard-major order; canonicalize to ascending
+  // representative order.
+  std::sort(aborted_globals.begin(), aborted_globals.end());
+  for (const std::uint64_t g : aborted_globals)
+    r.aborted_faults.push_back(ctx.rep_name(static_cast<std::uint32_t>(g)));
+
+  // Detection matrix over the final set: recounts every detection (the
+  // prepass only tracked first hits) and is the cross-run witness.
+  matrix_and_compact(opt, tests.size(),
+                     [&] { return ctx.matrix(sched, tests, {}); }, r);
+  fill_sim_stats(sched, r);
+  fill_coverage(ctx.n_reps, r);
+  r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
+}
+
 namespace {
 
 /// Typed per-model state referenced by the context closures. shared_ptr
@@ -420,17 +299,36 @@ struct ModelData {
   logic::Circuit view;
   std::vector<Fault> reps;
   PodemOptions popt;
-  /// Lazily constructed on the first escalation when sat_incremental is
-  /// on; one persistent solver serves the whole campaign (or shard).
-  /// Declared after `view` so the session's circuit reference outlives it.
+  sat::SatAtpgOptions satopt;
+  /// Lazily constructed on the first escalation; one persistent solver
+  /// serves the whole campaign (or shard). Declared after `view` so the
+  /// session's circuit reference outlives it.
   std::shared_ptr<sat::SatSession> session;
+
+  sat::SatSession& sat() {
+    if (!session) session = std::make_shared<sat::SatSession>(view, satopt);
+    return *session;
+  }
 };
+
+/// The model-independent hooks: SAT session counters and fault names.
+template <typename Fault>
+void bind_common(CampaignContext& ctx,
+                 const std::shared_ptr<ModelData<Fault>>& data) {
+  ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
+    return data->session ? &data->session->stats() : nullptr;
+  };
+  ctx.rep_name = [data](std::uint32_t i) {
+    return fault_name(data->view, data->reps[i]);
+  };
+}
 
 }  // namespace
 
 CampaignContext make_context(const logic::SequentialCircuit& seq,
                              const CampaignOptions& opt) {
   CampaignContext ctx;
+  ctx.circuit = seq.core().name();
   const bool scan = !seq.flops().empty();
   if (scan && opt.scan_style != ScanMode::kEnhanced) {
     ctx.error = "launch-on-capture scan styles use the dedicated scan "
@@ -462,6 +360,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
     auto data = std::make_shared<ModelData<StuckFault>>();
     data->view = ctx.view;
     data->popt = ctx.popt;
+    data->satopt = satopt;
     const obs::Span span("collapse");
     const auto t0 = Clock::now();
     const auto faults = enumerate_stuck_faults(data->view);
@@ -495,25 +394,15 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
                                      const RepSubset& subset) {
       return s.matrix_stuck(patterns_of(ts), select_reps(data->reps, subset));
     };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_stuck_test(data->reps[i]);
-      }
-      return sat::sat_generate_stuck_test(data->view, data->reps[i], satopt);
+    ctx.escalate = [data](std::uint32_t i) {
+      return data->sat().generate_stuck_test(data->reps[i]);
     };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    bind_common(ctx, data);
   } else if (opt.model == FaultModel::kTransition) {
     auto data = std::make_shared<ModelData<TransitionFault>>();
     data->view = ctx.view;
     data->popt = ctx.popt;
+    data->satopt = satopt;
     data->reps = enumerate_transition_faults(data->view);
     ctx.faults_total = data->reps.size();  // no structural collapse
     ctx.n_reps = data->reps.size();
@@ -530,26 +419,15 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
                         const RepSubset& subset) {
       return s.matrix_transition(ts, select_reps(data->reps, subset));
     };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_transition_test(data->reps[i]);
-      }
-      return sat::sat_generate_transition_test(data->view, data->reps[i],
-                                               satopt);
+    ctx.escalate = [data](std::uint32_t i) {
+      return data->sat().generate_transition_test(data->reps[i]);
     };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    bind_common(ctx, data);
   } else {
     auto data = std::make_shared<ModelData<ObdFaultSite>>();
     data->view = ctx.view;
     data->popt = ctx.popt;
+    data->satopt = satopt;
     const obs::Span span("collapse");
     const auto t0 = Clock::now();
     const auto faults = enumerate_obd_faults(data->view);
@@ -570,21 +448,10 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
                         const RepSubset& subset) {
       return s.matrix_obd(ts, select_reps(data->reps, subset));
     };
-    ctx.escalate = [data, satopt, inc = opt.sat_incremental](std::uint32_t i) {
-      if (inc) {
-        if (!data->session)
-          data->session =
-              std::make_shared<sat::SatSession>(data->view, satopt);
-        return data->session->generate_obd_test(data->reps[i]);
-      }
-      return sat::sat_generate_obd_test(data->view, data->reps[i], satopt);
+    ctx.escalate = [data](std::uint32_t i) {
+      return data->sat().generate_obd_test(data->reps[i]);
     };
-    ctx.escalate_stats = [data]() -> const sat::SatSessionStats* {
-      return data->session ? &data->session->stats() : nullptr;
-    };
-    ctx.rep_name = [data](std::uint32_t i) {
-      return fault_name(data->view, data->reps[i]);
-    };
+    bind_common(ctx, data);
     ctx.ndetect = [data](const CampaignOptions& o,
                          const RepSubset& sat_untestable, CampaignReport& r) {
       if (data->reps.empty()) return;
@@ -687,13 +554,45 @@ CampaignReport run_campaign(const logic::SequentialCircuit& seq,
     r.error = ctx.error;
     return r;
   }
-  r.time.collapse_s = ctx.collapse_s;
-  detail::RepSubset sat_untestable_reps;
-  drive_ctx(ctx, opt, r, &sat_untestable_reps);
-  if (opt.ndetect > 0 && ctx.ndetect) ctx.ndetect(opt, sat_untestable_reps, r);
-  // drive_ctx only spans random..compact; fold in the enumerate+collapse
-  // phase so total == sum of the reported phases.
-  r.time.total_s += r.time.collapse_s;
+
+  // One shard covering every representative, run in memory, then the
+  // supervisor's merge over that single state: one scheduler serves the
+  // prepass and the merged matrix.
+  const auto t0 = Clock::now();
+  FaultSimScheduler sched(ctx.view, opt.sim);
+  const std::vector<TwoVectorTest> pool = detail::random_pool(ctx.view, opt);
+  const detail::ExecutorRun run =
+      detail::run_executor(ctx, opt, sched, pool, ShardRunOptions{});
+  const ShardState& state = run.shard.state;
+  detail::merge_states(ctx, opt, sched, pool, {&state}, 1, r);
+  r.time.random_s = run.time.random_s;
+  r.time.atpg_s = run.time.atpg_s;
+  r.time.sat_s = run.time.sat_s;
+
+  // SAT session counters are process-local, so only the one-shot report
+  // carries them (deterministic: escalation order and solver both are).
+  if (const sat::SatSessionStats* ss = ctx.escalate_stats()) {
+    r.sat_pairs = ss->pairs_total;
+    r.sat_cone_encodes = ss->cone_encodes;
+    r.sat_cone_hits = ss->cone_hits;
+    r.sat_unobservable_hits = ss->unobservable_hits;
+    r.sat_incremental_refutes = ss->incremental_refutes;
+    r.sat_fresh_fallbacks = ss->fresh_fallbacks;
+    r.sat_vars_shared = ss->vars_shared;
+    r.sat_clauses_kept = ss->clauses_kept;
+  }
+  obs::Sheet metrics = sched.merged_metrics();
+  metrics.merge_from(run.metrics);
+  r.metrics = obs::snapshot(metrics);
+  r.time.total_s = seconds_since(t0) + ctx.collapse_s;
+
+  if (opt.ndetect > 0 && ctx.ndetect) {
+    detail::RepSubset sat_untestable;
+    for (std::uint32_t i = 0; i < state.status.size(); ++i)
+      if (state.status[i] == FaultStatus::kSatUntestable)
+        sat_untestable.push_back(i);
+    ctx.ndetect(opt, sat_untestable, r);
+  }
   return r;
 }
 
@@ -775,7 +674,6 @@ std::string report_json(const CampaignReport& r) {
   j += "],\n";
   j += "  \"tests\": {\"random\": " + std::to_string(r.tests_random) +
        ", \"deterministic\": " + std::to_string(r.tests_deterministic) +
-       ", \"seeded\": " + std::to_string(r.seeded_tests) +
        ", \"final\": " + std::to_string(r.tests_final) +
        ", \"ndetect\": " + std::to_string(r.ndetect_tests) +
        ", \"ndetect_satisfied\": " + std::to_string(r.ndetect_satisfied) +
@@ -822,8 +720,8 @@ std::string report_json(const CampaignReport& r) {
       j += std::to_string(r.sat_conflicts_hist[static_cast<std::size_t>(b)]);
     }
     j += "]";
-    // Incremental-session detail (one-shot runs with sat_incremental; a
-    // sharded merge reports zeros — sessions are process-local).
+    // Incremental-session detail (one-shot runs; a sharded merge reports
+    // zeros — sessions are process-local).
     if (r.sat_pairs > 0) {
       j += ",\n                     \"incremental\": {\"pairs\": " +
            std::to_string(r.sat_pairs) +
@@ -952,10 +850,7 @@ void print_report(const CampaignReport& r) {
   t.add_row({"tests random / determ / final",
              std::to_string(r.tests_random) + " / " +
                  std::to_string(r.tests_deterministic) + " / " +
-                 std::to_string(r.tests_final) +
-                 (r.seeded_tests > 0
-                      ? "  (+" + std::to_string(r.seeded_tests) + " seeded)"
-                      : "")});
+                 std::to_string(r.tests_final)});
   if (r.ndetect_tests > 0)
     t.add_row({"n-detect tests / satisfied",
                std::to_string(r.ndetect_tests) + " / " +

@@ -64,23 +64,12 @@ struct CampaignOptions {
   /// contract across threads/lanes/shards is preserved. Time-budget aborts
   /// are NOT escalated (they are re-attempted on resume instead).
   bool sat_escalate = false;
-  /// CDCL conflict budget per SAT solver call; <= 0 = unlimited.
+  /// CDCL conflict budget per SAT solver call; <= 0 = unlimited. The
+  /// escalation tail runs in one persistent assumption-based SatSession
+  /// (good CNF encoded once, faulty cones cached under activation
+  /// literals, learned clauses kept across faults); its verdicts and cubes
+  /// equal per-fault fresh solving by construction.
   long long sat_conflict_budget = 100000;
-  /// Solve the escalation tail in one persistent assumption-based SAT
-  /// session (good CNF encoded once, faulty cones cached under activation
-  /// literals, learned clauses kept across faults) instead of a throwaway
-  /// solver per excitation pair. Verdicts and cubes are identical to
-  /// fresh solving by construction — an UNSAT under assumptions refutes
-  /// exactly the fresh formula, and SAT/budget-out answers delegate to the
-  /// fresh path — so matrix_hash, checkpoint, and --resume semantics are
-  /// unchanged; only the effort counters move.
-  bool sat_incremental = true;
-  /// Seed the deterministic top-off with random completions of SAT cubes:
-  /// each escalation cube contributes a few fills of its don't-care bits,
-  /// and later aborted faults try that pool before PODEM. Off by default —
-  /// seeded detections change which tests join the set (and therefore the
-  /// matrix hash); one-shot campaigns only.
-  bool seed_sat_cubes = false;
   /// Greedy set-cover compaction of the final test set.
   bool compact = true;
   /// Grow an n-detect set on top (OBD model only); 0 = off.
@@ -142,9 +131,9 @@ struct CampaignReport {
   long long sat_conflicts = 0;
   long long sat_decisions = 0;
   long long sat_restarts = 0;
-  /// Incremental-session counters (one-shot runs with sat_escalate and
-  /// sat_incremental; sharded runs report zeros — each shard's session is
-  /// process-local and not checkpointed). See sat::SatSessionStats.
+  /// SatSession counters (one-shot runs with sat_escalate; sharded runs
+  /// report zeros — each shard's session is process-local and not
+  /// checkpointed). See sat::SatSessionStats.
   long long sat_pairs = 0;
   long long sat_cone_encodes = 0;
   long long sat_cone_hits = 0;
@@ -175,10 +164,8 @@ struct CampaignReport {
 
   /// Prepass tests that first-detected some fault (the ones kept).
   int tests_random = 0;
+  /// PODEM top-off tests (SAT cubes are counted in sat_detected).
   int tests_deterministic = 0;
-  /// Aborted faults detected by a SAT-cube seed fill instead of PODEM
-  /// (CampaignOptions::seed_sat_cubes).
-  int seeded_tests = 0;
   /// After compaction (== random + deterministic when compaction is off).
   int tests_final = 0;
   int ndetect_tests = 0;
@@ -227,7 +214,10 @@ struct CampaignReport {
 /// Runs a campaign on a (possibly sequential) circuit. Sequential designs
 /// use the full-scan view; combinational ones run as-is. The OBD model
 /// lowers composite gates to primitives first (fault sites live on
-/// transistors of primitive CMOS gates).
+/// transistors of primitive CMOS gates). Enhanced-scan and combinational
+/// campaigns run the shard executor on partition 0/1 in memory and the
+/// supervisor's merge (flow/campaign_detail.hpp), so a sharded run matches
+/// them by construction.
 CampaignReport run_campaign(const logic::SequentialCircuit& seq,
                             const CampaignOptions& opt = {});
 CampaignReport run_campaign(const logic::Circuit& c,

@@ -1,17 +1,22 @@
-// Campaign internals shared between the one-shot driver (run_campaign),
-// the per-shard executor (run_campaign_shard), and the supervisor's merge.
+// Campaign internals: one executor, one merge, and the model hooks both
+// run through.
 //
-// The crash-tolerance layer's central correctness claim — a sharded run,
-// even one interrupted and resumed, merges to a detection matrix
-// bit-identical to the one-shot campaign — holds because all three paths
-// run through the *same* model hooks below. A CampaignContext packages the
-// model-specific machinery (collapsed representatives, prepass campaign,
-// deterministic generator, matrix builder) behind fault-subset-aware
-// closures: the one-shot path passes the full representative list, a shard
-// passes its strided partition, and the merge rebuilds the matrix over the
-// union of tests against the full list. The fault-sim scheduler's
-// determinism contract (first detections independent of which other faults
-// are co-simulated) does the rest.
+// A one-shot campaign (run_campaign) is the executor on partition 0/1 in
+// memory, fed through merge_states. A shard (run_campaign_shard) is the
+// executor on partition i/n with checkpointing, and the supervisor feeds the
+// n committed states through the same merge_states. There is one top-off
+// loop and one status-to-report accounting, so the crash-tolerance layer's
+// central claim — a sharded run, even one interrupted and resumed, merges
+// to a detection matrix bit-identical to the one-shot campaign — holds by
+// construction rather than by parallel maintenance.
+//
+// A CampaignContext packages the model-specific machinery (collapsed
+// representatives, prepass campaign, deterministic generator, matrix
+// builder) behind fault-subset-aware closures: the executor passes its
+// strided partition (or nothing, for all representatives), and the merge
+// rebuilds the matrix over the union of tests against the full list. The
+// fault-sim scheduler's determinism contract (first detections independent
+// of which other faults are co-simulated) does the rest.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +28,10 @@
 #include "atpg/sat/incremental.hpp"
 #include "atpg/sat/sat_atpg.hpp"
 #include "flow/campaign.hpp"
+#include "flow/checkpoint.hpp"
+#include "flow/shard.hpp"
 #include "logic/sequential.hpp"
+#include "obs/metrics.hpp"
 
 namespace obd::flow::detail {
 
@@ -39,6 +47,7 @@ struct CampaignContext {
   /// model/style combination); every other field is then unspecified.
   std::string error;
 
+  std::string circuit;  ///< the design's name (checkpoint identity)
   logic::Circuit view;  ///< full-scan or combinational view, model-lowered
   std::size_t faults_total = 0;  ///< before structural collapse
   std::size_t n_reps = 0;        ///< collapsed representatives
@@ -55,12 +64,10 @@ struct CampaignContext {
   std::function<atpg::TwoFrameResult(std::uint32_t rep_index)> generate;
   /// SAT escalation for one representative (global index): definitive
   /// cube/untestable verdict for a PODEM backtrack-abort, budget
-  /// permitting. Configured from CampaignOptions::sat_conflict_budget.
-  /// With CampaignOptions::sat_incremental the calls share one lazily
-  /// constructed persistent SatSession (verdicts identical either way).
+  /// permitting. Configured from CampaignOptions::sat_conflict_budget. The
+  /// calls share one lazily constructed persistent SatSession.
   std::function<atpg::sat::SatAtpgResult(std::uint32_t rep_index)> escalate;
-  /// The incremental session's counters, or nullptr when no escalation ran
-  /// incrementally (sat_incremental off, or no fault escalated).
+  /// The session's counters, or nullptr when no fault escalated.
   std::function<const atpg::sat::SatSessionStats*()> escalate_stats;
   /// Fault-site name of one representative (for abort reporting).
   std::function<std::string(std::uint32_t rep_index)> rep_name;
@@ -98,20 +105,44 @@ std::uint64_t hash_matrix(const atpg::DetectionMatrix& m);
 /// Structure stats shared by every campaign path.
 void fill_structure(const logic::Circuit& view, CampaignReport& r);
 
-/// Copies the scheduler's aggregated cone/frontier counters into the
-/// report (taken after the last fault-sim call so prepass + matrix work is
-/// included).
-void fill_sim_stats(const atpg::FaultSimScheduler& sched, CampaignReport& r);
-
-/// Shared campaign tail: detection matrix over the final test set, greedy
-/// compaction, and the derived report fields.
-void matrix_and_compact(const CampaignOptions& opt, std::size_t n_tests,
-                        const std::function<atpg::DetectionMatrix()>& build,
-                        CampaignReport& r);
-
 /// Report preamble common to run_campaign and the supervisor's merge:
 /// circuit identity, model, sim configuration, scan detection.
 void init_report(const logic::SequentialCircuit& seq,
                  const CampaignOptions& opt, CampaignReport& r);
+
+/// What one executor run produced: the shard result (status, error, final
+/// state), the flow metrics it recorded (atpg.podem_*, sat.*), and its
+/// phase wall clocks (random_s, atpg_s, sat_s; the rest stay zero).
+struct ExecutorRun {
+  ShardRunResult shard;
+  obs::Sheet metrics;
+  PhaseTimes time;
+};
+
+/// The campaign executor: random prepass over partition
+/// sopt.shard_index/sopt.shard_count, then the deterministic top-off over
+/// its survivors with inline SAT escalation. `pool` is random_pool(ctx.view,
+/// opt); `sched` runs every fault simulation. With a checkpoint dir it
+/// resumes, flushes checkpoints, polls the stop flag, writes heartbeats,
+/// and finishes with the shard-local matrix; with an empty one it runs in
+/// memory and returns the state without a matrix (the merge builds the
+/// full one).
+ExecutorRun run_executor(const CampaignContext& ctx, const CampaignOptions& opt,
+                         atpg::FaultSimScheduler& sched,
+                         const std::vector<atpg::TwoVectorTest>& pool,
+                         const ShardRunOptions& sopt);
+
+/// Deterministic merge: the union of the states' useful-test marks
+/// reproduces the one-shot prepass test list (first detections are
+/// independent of the fault partition), the deterministic tests interleave
+/// back into global representative order, fault statuses become the report
+/// counts, and the matrix is rebuilt on `sched` over the merged tests
+/// against ALL representatives, then compacted. Bit-identical to the
+/// one-shot campaign when every shard completed.
+void merge_states(const CampaignContext& ctx, const CampaignOptions& opt,
+                  atpg::FaultSimScheduler& sched,
+                  const std::vector<atpg::TwoVectorTest>& pool,
+                  const std::vector<const ShardState*>& states,
+                  std::uint32_t shard_count, CampaignReport& r);
 
 }  // namespace obd::flow::detail

@@ -197,10 +197,24 @@ std::string checkpoint_path(const std::string& dir, int shard_index) {
 
 std::uint64_t options_fingerprint(const CampaignOptions& opt,
                                   const std::string& circuit,
+                                  const logic::Circuit& view,
                                   std::uint32_t shard_count) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a_bytes(h, "obd-shard-fp-v1", 15);
+  h = fnv1a_bytes(h, "obd-shard-fp-v2", 15);
   h = fnv1a_bytes(h, circuit.data(), circuit.size());
+  const auto nets = [&h](const std::vector<logic::NetId>& ids) {
+    h = fnv1a_u64(h, ids.size());
+    for (const logic::NetId n : ids)
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(n));
+  };
+  nets(view.inputs());
+  nets(view.outputs());
+  h = fnv1a_u64(h, view.num_gates());
+  for (const logic::Gate& g : view.gates()) {
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(g.type));
+    nets(g.inputs);
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(g.output));
+  }
   h = fnv1a_u64(h, static_cast<std::uint64_t>(opt.model));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(opt.scan_style));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(opt.random_patterns));
@@ -225,12 +239,9 @@ std::string encode_checkpoint(const ShardState& s) {
   for (std::uint64_t w : s.prng_state) put_u64(payload, w);
   put_u64(payload, static_cast<std::uint64_t>(s.fault_block_evals));
   put_u64(payload, static_cast<std::uint64_t>(s.sat_conflicts));
-  // Version 3: SAT decisions, restarts, and the per-fault conflict
-  // histogram, immediately after the conflicts counter.
   put_u64(payload, static_cast<std::uint64_t>(s.sat_decisions));
   put_u64(payload, static_cast<std::uint64_t>(s.sat_restarts));
   for (const std::uint64_t b : s.sat_hist) put_u64(payload, b);
-  // Version 4: PODEM effort totals.
   put_u64(payload, static_cast<std::uint64_t>(s.podem_implications));
   put_u64(payload, static_cast<std::uint64_t>(s.podem_backtracks));
 
@@ -284,10 +295,9 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
   header.u32(&version);
   header.u32(&flags);
   header.u64(&payload_len);
-  if (version < kMinCheckpointVersion || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     *err = "unsupported checkpoint version " + std::to_string(version) +
-           " (this build reads versions " +
-           std::to_string(kMinCheckpointVersion) + ".." +
+           " (this build reads version " +
            std::to_string(kCheckpointVersion) + ")";
     return false;
   }
@@ -349,29 +359,25 @@ bool decode_checkpoint(std::string_view bytes, ShardState* out,
     return false;
   }
   s.sat_conflicts = static_cast<long long>(sat_conflicts);
-  if (version >= 3) {
-    std::uint64_t sat_decisions = 0, sat_restarts = 0;
-    if (!r.u64(&sat_decisions) || !r.u64(&sat_restarts)) {
-      *err = "checkpoint payload truncated in sat-effort fields";
+  std::uint64_t sat_decisions = 0, sat_restarts = 0;
+  if (!r.u64(&sat_decisions) || !r.u64(&sat_restarts)) {
+    *err = "checkpoint payload truncated in sat-effort fields";
+    return false;
+  }
+  s.sat_decisions = static_cast<long long>(sat_decisions);
+  s.sat_restarts = static_cast<long long>(sat_restarts);
+  for (auto& b : s.sat_hist)
+    if (!r.u64(&b)) {
+      *err = "checkpoint payload truncated in sat histogram";
       return false;
     }
-    s.sat_decisions = static_cast<long long>(sat_decisions);
-    s.sat_restarts = static_cast<long long>(sat_restarts);
-    for (auto& b : s.sat_hist)
-      if (!r.u64(&b)) {
-        *err = "checkpoint payload truncated in sat histogram";
-        return false;
-      }
+  std::uint64_t implications = 0, backtracks = 0;
+  if (!r.u64(&implications) || !r.u64(&backtracks)) {
+    *err = "checkpoint payload truncated in podem-effort fields";
+    return false;
   }
-  if (version >= 4) {
-    std::uint64_t implications = 0, backtracks = 0;
-    if (!r.u64(&implications) || !r.u64(&backtracks)) {
-      *err = "checkpoint payload truncated in podem-effort fields";
-      return false;
-    }
-    s.podem_implications = static_cast<long long>(implications);
-    s.podem_backtracks = static_cast<long long>(backtracks);
-  }
+  s.podem_implications = static_cast<long long>(implications);
+  s.podem_backtracks = static_cast<long long>(backtracks);
   if (phase < static_cast<std::uint8_t>(ShardPhase::kPrepassDone) ||
       phase > static_cast<std::uint8_t>(ShardPhase::kDone)) {
     *err = "invalid shard phase " + std::to_string(phase);
@@ -493,7 +499,8 @@ bool load_checkpoint(const std::string& path, ShardState* out,
 }
 
 bool checkpoint_matches(const ShardState& s, const CampaignOptions& opt,
-                        const std::string& circuit, std::uint32_t shard_index,
+                        const std::string& circuit, const logic::Circuit& view,
+                        std::uint32_t shard_index,
                         std::uint32_t shard_count, std::uint64_t n_reps_total,
                         std::uint64_t pool_size, std::string* err) {
   if (s.circuit != circuit) {
@@ -507,9 +514,9 @@ bool checkpoint_matches(const ShardState& s, const CampaignOptions& opt,
            std::to_string(shard_index) + "/" + std::to_string(shard_count);
     return false;
   }
-  if (s.options_fp != options_fingerprint(opt, circuit, shard_count)) {
-    *err = "checkpoint was taken under different campaign options "
-           "(fingerprint mismatch)";
+  if (s.options_fp != options_fingerprint(opt, circuit, view, shard_count)) {
+    *err = "checkpoint was taken under different campaign options or a "
+           "different netlist (fingerprint mismatch)";
     return false;
   }
   if (s.n_reps_total != n_reps_total) {

@@ -10,11 +10,9 @@
 // (the fault-sim layer's determinism contract makes "resume == rerun" a
 // checkable property via matrix_hash).
 //
-// On-disk format (version 4, little-endian; version 2 added the SAT
-// escalation statuses and the sat_conflicts counter; version 3 extends the
-// SAT accounting with decisions, restarts, and the per-fault conflict
-// histogram; version 4 adds the PODEM effort totals — version 2 and 3
-// files still load, with the fields they lack zero):
+// On-disk format (version 4, little-endian; only the current version
+// loads — older files fail the options fingerprint anyway, so a resume
+// rejects them and the shard re-runs fresh):
 //
 //   magic   "OBDCKPT\n"          8 bytes
 //   version u32                  kCheckpointVersion
@@ -49,10 +47,8 @@
 
 namespace obd::flow {
 
+/// The only on-disk version decode_checkpoint accepts.
 inline constexpr std::uint32_t kCheckpointVersion = 4;
-/// Oldest on-disk version decode_checkpoint still accepts. Fields added
-/// after a version are zero-initialized when loading an older file.
-inline constexpr std::uint32_t kMinCheckpointVersion = 2;
 
 /// Per-fault progress of a shard, in assigned-partition (local) order.
 enum class FaultStatus : std::uint8_t {
@@ -97,17 +93,14 @@ struct ShardState {
   std::array<std::uint64_t, 4> prng_state{};
   long long fault_block_evals = 0;
   /// CDCL effort spent by SAT escalation in this shard (merged into
-  /// CampaignReport::sat_conflicts etc.). decisions/restarts and the
-  /// per-fault conflict histogram are version-3 fields: loading a
-  /// version-2 checkpoint leaves them zero.
+  /// CampaignReport::sat_conflicts etc.).
   long long sat_conflicts = 0;
   long long sat_decisions = 0;
   long long sat_restarts = 0;
   /// Conflicts-per-escalated-fault log2 buckets (obs::log2_bucket).
   std::array<std::uint64_t, 32> sat_hist{};
   /// PODEM effort of this shard's committed top-off searches (merged into
-  /// CampaignReport::podem_implications / podem_backtracks). Version-4
-  /// fields: zero when loading an older checkpoint.
+  /// CampaignReport::podem_implications / podem_backtracks).
   long long podem_implications = 0;
   long long podem_backtracks = 0;
   /// Prepass pool indices that first-detected some assigned fault
@@ -133,16 +126,20 @@ struct ShardState {
 /// Canonical checkpoint file path for a shard.
 std::string checkpoint_path(const std::string& dir, int shard_index);
 
-/// Fingerprint of every option that changes shard *results* (model, scan
-/// style, seed, prepass size, backtrack and time budgets, shard count,
-/// circuit name). Deliberately excludes the fault-sim options (threads,
-/// packing, lanes, delta-goods, grey order: bit-identical by the
-/// scheduler's contract), merge-time options
+/// Fingerprint of everything that changes shard *results*: the netlist
+/// the campaign runs on (`view`, the model-lowered full-scan or
+/// combinational circuit: gate types, fan-in and output nets, PI and PO
+/// order — flops are the view's trailing pseudo-PIs/POs), the circuit
+/// name, and the options model, scan style, seed, prepass size, backtrack
+/// and time budgets, and shard count. Deliberately excludes the fault-sim
+/// options (threads, packing, lanes, delta-goods, grey order:
+/// bit-identical by the scheduler's contract), merge-time options
 /// (compact, ndetect), and the SAT escalation options: a checkpoint taken
 /// at 1 thread resumes at 8, and a PODEM-only checkpoint resumes with
 /// --sat-escalate as a pure top-off over its recorded aborts.
 std::uint64_t options_fingerprint(const CampaignOptions& opt,
                                   const std::string& circuit,
+                                  const logic::Circuit& view,
                                   std::uint32_t shard_count);
 
 /// In-memory encode/decode — the unit the robustness property tests attack.
@@ -157,10 +154,11 @@ bool load_checkpoint(const std::string& path, ShardState* out,
                      std::string* err);
 
 /// Does a loaded checkpoint belong to this campaign + shard? False with a
-/// diagnostic on any mismatch (wrong options, wrong circuit, wrong shard
-/// geometry, wrong fault-list size).
+/// diagnostic on any mismatch (wrong options or netlist, wrong circuit
+/// name, wrong shard geometry, wrong fault-list size).
 bool checkpoint_matches(const ShardState& s, const CampaignOptions& opt,
-                        const std::string& circuit, std::uint32_t shard_index,
+                        const std::string& circuit, const logic::Circuit& view,
+                        std::uint32_t shard_index,
                         std::uint32_t shard_count, std::uint64_t n_reps_total,
                         std::uint64_t pool_size, std::string* err);
 

@@ -1,13 +1,14 @@
-// Per-shard campaign executor: one strided fault partition, checkpointed.
+// Per-shard campaign runs: one strided fault partition, checkpointed.
 //
 // A shard owns the collapsed representatives with global index ≡ shard_index
-// (mod shard_count). It replays the campaign pipeline on just those faults —
-// random prepass, deterministic top-off, shard-local detection matrix —
-// committing a checkpoint after the prepass, every `checkpoint_every` PODEM
-// results, and at completion. Because first detections are independent of
-// which other faults are co-simulated (the scheduler's determinism
-// contract), the supervisor can merge shard checkpoints back into the
-// exact one-shot campaign result.
+// (mod shard_count). It runs the campaign executor (detail::run_executor in
+// flow/campaign_detail.hpp — the same one a one-shot run_campaign uses on
+// partition 0/1) over just those faults — random prepass, deterministic
+// top-off, shard-local detection matrix — committing a checkpoint after the
+// prepass, every `checkpoint_every` PODEM results, and at completion.
+// Because first detections are independent of which other faults are
+// co-simulated (the scheduler's determinism contract), the supervisor can
+// merge shard checkpoints back into the exact one-shot campaign result.
 //
 // This is the unit of crash tolerance: run as a child process by the shard
 // supervisor (obd_atpg --shard i/n) or in-process by tests. A SIGINT/
@@ -30,8 +31,9 @@ struct ShardRunOptions {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   /// Load an existing checkpoint and continue. A missing file starts
-  /// fresh; an invalid or mismatched file is kBadCheckpoint (the
-  /// supervisor deletes it and retries from scratch).
+  /// fresh; an invalid or mismatched file (other options, other netlist
+  /// content) is kBadCheckpoint (the supervisor deletes it and retries
+  /// from scratch).
   bool resume = false;
   /// PODEM results between periodic checkpoint flushes — the most work a
   /// crash can lose.

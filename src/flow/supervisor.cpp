@@ -48,119 +48,6 @@ void remove_checkpoint(const std::string& dir, int shard) {
   std::filesystem::remove(p + ".tmp", ec);
 }
 
-/// Deterministic merge: the union of shard useful-test marks reproduces
-/// the one-shot prepass test list (first detections are independent of the
-/// fault partition), the deterministic tests interleave back into global
-/// representative order, and the matrix is rebuilt over the merged tests
-/// against ALL representatives — bit-identical to the one-shot campaign
-/// when every shard completed.
-void merge_states(const detail::CampaignContext& ctx,
-                  const CampaignOptions& opt,
-                  const std::vector<TwoVectorTest>& pool,
-                  const std::vector<const ShardState*>& states,
-                  std::uint32_t shard_count, CampaignReport& r) {
-  const auto t_total = Clock::now();
-  r.faults_total = ctx.faults_total;
-  r.faults_collapsed = ctx.n_reps;
-  r.time.collapse_s = ctx.collapse_s;
-  if (ctx.n_reps == 0) {
-    r.coverage = 1.0;
-    r.provable_coverage = 1.0;
-    r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
-    return;
-  }
-
-  // Pool tests that first-detected a fault in any shard, in pool order.
-  std::vector<std::uint32_t> useful;
-  for (const ShardState* s : states)
-    useful.insert(useful.end(), s->useful_pool.begin(), s->useful_pool.end());
-  std::sort(useful.begin(), useful.end());
-  useful.erase(std::unique(useful.begin(), useful.end()), useful.end());
-
-  // Deterministic tests back in global representative order.
-  struct DetEntry {
-    std::uint64_t global;
-    TwoVectorTest test;
-  };
-  std::vector<DetEntry> det;
-  for (const ShardState* s : states)
-    for (const ShardDetTest& d : s->det_tests)
-      det.push_back({s->shard_index +
-                         static_cast<std::uint64_t>(d.local_index) *
-                             shard_count,
-                     d.test});
-  std::sort(det.begin(), det.end(),
-            [](const DetEntry& a, const DetEntry& b) {
-              return a.global < b.global;
-            });
-
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(useful.size() + det.size());
-  for (const std::uint32_t t : useful) tests.push_back(pool[t]);
-  for (const DetEntry& d : det) tests.push_back(d.test);
-  r.tests_random = static_cast<int>(useful.size());
-  r.tests_deterministic = static_cast<int>(det.size());
-
-  std::vector<std::uint64_t> aborted_globals;
-  for (const ShardState* s : states) {
-    r.fault_block_evals += s->fault_block_evals;
-    r.sat_conflicts += s->sat_conflicts;
-    r.sat_decisions += s->sat_decisions;
-    r.sat_restarts += s->sat_restarts;
-    r.podem_implications += s->podem_implications;
-    r.podem_backtracks += s->podem_backtracks;
-    for (std::size_t k = 0; k < s->sat_hist.size(); ++k)
-      r.sat_conflicts_hist[k] += s->sat_hist[k];
-    for (std::size_t j = 0; j < s->status.size(); ++j) {
-      const auto record_abort = [&] {
-        ++r.aborted;
-        aborted_globals.push_back(s->shard_index + j * shard_count);
-      };
-      switch (s->status[j]) {
-        case FaultStatus::kUntestable: ++r.untestable; break;
-        case FaultStatus::kAbortedBacktracks:
-          record_abort();
-          ++r.aborted_backtracks;
-          break;
-        case FaultStatus::kAbortedTime:
-          record_abort();
-          ++r.aborted_time;
-          break;
-        case FaultStatus::kSatCube: ++r.sat_detected; break;
-        case FaultStatus::kSatUntestable: ++r.sat_untestable; break;
-        case FaultStatus::kSatUnknown:
-          // Budget-exhausted escalation: still an unresolved backtrack
-          // abort from the campaign's point of view.
-          ++r.sat_unknown;
-          record_abort();
-          ++r.aborted_backtracks;
-          break;
-        default: break;
-      }
-    }
-  }
-  // Shards visit faults in shard-major order; canonicalize to the
-  // ascending-representative order the one-shot path emits.
-  std::sort(aborted_globals.begin(), aborted_globals.end());
-  if (ctx.rep_name)
-    for (const std::uint64_t g : aborted_globals)
-      r.aborted_faults.push_back(ctx.rep_name(static_cast<std::uint32_t>(g)));
-
-  FaultSimScheduler sched(ctx.view, opt.sim);
-  detail::matrix_and_compact(opt, tests.size(),
-                             [&] { return ctx.matrix(sched, tests, {}); }, r);
-  detail::fill_sim_stats(sched, r);
-  r.coverage = static_cast<double>(r.detected) /
-               static_cast<double>(ctx.n_reps);
-  const std::size_t provable =
-      ctx.n_reps - static_cast<std::size_t>(r.untestable + r.sat_untestable);
-  r.provable_coverage =
-      provable == 0 ? 1.0
-                    : static_cast<double>(r.detected) /
-                          static_cast<double>(provable);
-  r.time.total_s = seconds_since(t_total) + ctx.collapse_s;
-}
-
 /// One {"event":"status",...} NDJSON line on stderr, aggregated from the
 /// latest heartbeat of every shard. Machine-parseable: CI and wrappers can
 /// tail stderr for live coverage and the ETA.
@@ -262,10 +149,6 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
     args.push_back("--sat-escalate");
     args.push_back("--sat-conflict-budget");
     args.push_back(std::to_string(opt.sat_conflict_budget));
-    if (!opt.sat_incremental) {
-      args.push_back("--sat-incremental");
-      args.push_back("off");
-    }
   }
   if (sup.trace) {
     args.push_back("--trace");
@@ -333,10 +216,6 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     r.error = "--ndetect is not supported with sharded campaigns";
     return res;
   }
-  if (opt.seed_sat_cubes) {
-    r.error = "--seed-sat-cubes is not supported with sharded campaigns";
-    return res;
-  }
   if (r.scan && opt.scan_style != ScanMode::kEnhanced) {
     r.error = "launch-on-capture scan styles cannot be sharded";
     return res;
@@ -377,7 +256,6 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     }
   }
 
-  const std::string circuit = seq.core().name();
   const std::vector<TwoVectorTest> pool = detail::random_pool(ctx.view, opt);
   const auto shard_count = static_cast<std::uint32_t>(sup.shards);
 
@@ -390,8 +268,9 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
     const std::string p = checkpoint_path(sup.checkpoint_dir, shard);
     ShardState s;
     if (!load_checkpoint(p, &s, why)) return false;
-    if (!checkpoint_matches(s, opt, circuit, static_cast<std::uint32_t>(shard),
-                            shard_count, ctx.n_reps, pool.size(), why))
+    if (!checkpoint_matches(s, opt, ctx.circuit, ctx.view,
+                            static_cast<std::uint32_t>(shard), shard_count,
+                            ctx.n_reps, pool.size(), why))
       return false;
     if (s.phase != ShardPhase::kDone || !s.has_matrix) {
       *why = "checkpoint is not a completed shard";
@@ -688,7 +567,8 @@ SupervisorResult run_supervised_campaign(const logic::SequentialCircuit& seq,
   std::vector<const ShardState*> done;
   for (int i = 0; i < sup.shards; ++i)
     if (clean[i]) done.push_back(&states[i]);
-  merge_states(ctx, opt, pool, done, shard_count, r);
+  FaultSimScheduler sched(ctx.view, opt.sim);
+  detail::merge_states(ctx, opt, sched, pool, done, shard_count, r);
   return res;
 }
 

@@ -73,13 +73,11 @@ void ProgressWriter::emit(const Heartbeat& hb) {
   ever_emitted_ = true;
 }
 
-void ProgressWriter::maybe_emit(const Heartbeat& hb) {
-  if (fd_ < 0) return;
-  if (ever_emitted_ && interval_s_ > 0) {
-    const auto since = std::chrono::steady_clock::now() - last_;
-    if (std::chrono::duration<double>(since).count() < interval_s_) return;
-  }
-  emit(hb);
+bool ProgressWriter::due() const {
+  if (fd_ < 0) return false;
+  if (!ever_emitted_ || interval_s_ <= 0) return true;
+  const auto since = std::chrono::steady_clock::now() - last_;
+  return std::chrono::duration<double>(since).count() >= interval_s_;
 }
 
 bool read_last_heartbeat(const std::string& path, Heartbeat& out) {

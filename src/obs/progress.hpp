@@ -40,15 +40,17 @@ std::string progress_path(const std::string& checkpoint_dir, int shard);
 class ProgressWriter {
  public:
   ProgressWriter() = default;
-  /// interval_s <= 0 disables throttling (every maybe_emit writes).
+  /// interval_s <= 0 disables throttling (due() whenever active).
   ProgressWriter(std::string path, double interval_s);
   ~ProgressWriter();
   ProgressWriter(const ProgressWriter&) = delete;
   ProgressWriter& operator=(const ProgressWriter&) = delete;
 
   bool active() const { return fd_ >= 0; }
-  /// Writes if at least interval_s elapsed since the last write.
-  void maybe_emit(const Heartbeat& hb);
+  /// Active, and at least interval_s elapsed since the last write (or
+  /// nothing written yet): the throttled caller builds a heartbeat only
+  /// when this holds.
+  bool due() const;
   /// Writes unconditionally (phase transitions, completion).
   void emit(const Heartbeat& hb);
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 
+#include "logic/zoo.hpp"
 #include "util/crc32c.hpp"
 #include "util/prng.hpp"
 
@@ -171,18 +172,22 @@ TEST(Checkpoint, TrailingGarbageRejected) {
 }
 
 TEST(Checkpoint, FutureVersionRejectedEvenWithValidCrc) {
-  // A version bump alone (CRC recomputed to match) must still be refused:
-  // the version gate fires before any payload interpretation.
-  std::string bytes = encode_checkpoint(sample_state());
-  // Version u32 (little-endian) follows the 8-byte magic.
-  bytes[8] = static_cast<char>(kCheckpointVersion + 1);
-  const std::uint32_t crc = util::crc32c(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i)
-    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  ShardState out;
-  std::string err;
-  EXPECT_FALSE(decode_checkpoint(bytes, &out, &err));
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
+  // A version change alone (CRC recomputed to match) must still be
+  // refused: the version gate fires before any payload interpretation. An
+  // older version is refused the same way — only the current one loads.
+  for (const std::uint32_t version :
+       {kCheckpointVersion + 1, kCheckpointVersion - 1}) {
+    std::string bytes = encode_checkpoint(sample_state());
+    // Version u32 (little-endian) follows the 8-byte magic.
+    bytes[8] = static_cast<char>(version);
+    const std::uint32_t crc = util::crc32c(bytes.data(), bytes.size() - 4);
+    for (int i = 0; i < 4; ++i)
+      bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    ShardState out;
+    std::string err;
+    EXPECT_FALSE(decode_checkpoint(bytes, &out, &err)) << version;
+    EXPECT_NE(err.find("version"), std::string::npos) << err;
+  }
 }
 
 // Semantically inconsistent states survive encoding (the encoder is a plain
@@ -292,24 +297,61 @@ TEST(Checkpoint, AssignedCountCoversEveryFaultExactlyOnce) {
   }
 }
 
+enum class Edit { kNone, kRewire, kSwapPis };
+
+/// `c` rebuilt gate for gate, optionally with gate 0's first input moved
+/// to another PI (kRewire) or the first two PIs declared in swapped order
+/// (kSwapPis): same names, same size, different netlist.
+logic::Circuit rebuilt(const logic::Circuit& c, Edit edit) {
+  logic::Circuit out(c.name());
+  std::vector<logic::NetId> ins = c.inputs();
+  if (edit == Edit::kSwapPis) std::swap(ins[0], ins[1]);
+  for (const logic::NetId n : ins) out.add_input(c.net_name(n));
+  for (int g = 0; g < static_cast<int>(c.num_gates()); ++g) {
+    const logic::Gate& gt = c.gate(g);
+    std::vector<logic::NetId> fanin;
+    for (const logic::NetId n : gt.inputs)
+      fanin.push_back(out.net(c.net_name(n)));
+    if (g == 0 && edit == Edit::kRewire) {
+      const logic::NetId pi = gt.inputs[0] == c.inputs()[0] ? c.inputs()[1]
+                                                            : c.inputs()[0];
+      fanin[0] = out.net(c.net_name(pi));
+    }
+    out.add_gate(gt.type, gt.name, fanin, out.net(c.net_name(gt.output)));
+  }
+  for (const logic::NetId n : c.outputs())
+    out.mark_output(out.net(c.net_name(n)));
+  return out;
+}
+
 TEST(Checkpoint, FingerprintSeparatesResultChangingOptions) {
   CampaignOptions opt;
-  const std::uint64_t base = options_fingerprint(opt, "c432", 4);
+  const logic::Circuit view = logic::c17();
+  const std::uint64_t base = options_fingerprint(opt, "c432", view, 4);
 
   CampaignOptions o1 = opt;
   o1.seed ^= 1;
-  EXPECT_NE(options_fingerprint(o1, "c432", 4), base);
+  EXPECT_NE(options_fingerprint(o1, "c432", view, 4), base);
   CampaignOptions o2 = opt;
   o2.max_backtracks += 1;
-  EXPECT_NE(options_fingerprint(o2, "c432", 4), base);
+  EXPECT_NE(options_fingerprint(o2, "c432", view, 4), base);
   CampaignOptions o3 = opt;
   o3.random_patterns += 1;
-  EXPECT_NE(options_fingerprint(o3, "c432", 4), base);
+  EXPECT_NE(options_fingerprint(o3, "c432", view, 4), base);
   CampaignOptions o4 = opt;
   o4.podem_time_budget_s = 1.5;
-  EXPECT_NE(options_fingerprint(o4, "c432", 4), base);
-  EXPECT_NE(options_fingerprint(opt, "c499", 4), base);
-  EXPECT_NE(options_fingerprint(opt, "c432", 8), base);
+  EXPECT_NE(options_fingerprint(o4, "c432", view, 4), base);
+  EXPECT_NE(options_fingerprint(opt, "c499", view, 4), base);
+  EXPECT_NE(options_fingerprint(opt, "c432", view, 8), base);
+
+  // Netlist content, not just its name: an identical rebuild matches, a
+  // rewired fan-in or a reordered PI list does not.
+  for (const Edit e : {Edit::kNone, Edit::kRewire, Edit::kSwapPis}) {
+    const std::uint64_t fp =
+        options_fingerprint(opt, "c432", rebuilt(view, e), 4);
+    if (e == Edit::kNone) EXPECT_EQ(fp, base);
+    else EXPECT_NE(fp, base) << static_cast<int>(e);
+  }
 
   // Execution-shape options are deliberately NOT fingerprinted: a
   // checkpoint taken at 1 thread must resume at 8 (results are
@@ -317,7 +359,7 @@ TEST(Checkpoint, FingerprintSeparatesResultChangingOptions) {
   CampaignOptions o5 = opt;
   o5.sim.threads = 8;
   o5.compact = false;
-  EXPECT_EQ(options_fingerprint(o5, "c432", 4), base);
+  EXPECT_EQ(options_fingerprint(o5, "c432", view, 4), base);
 
   // SAT escalation options are also excluded by design: a PODEM-only
   // checkpoint must resume with --sat-escalate as a pure top-off over its
@@ -325,23 +367,24 @@ TEST(Checkpoint, FingerprintSeparatesResultChangingOptions) {
   CampaignOptions o6 = opt;
   o6.sat_escalate = true;
   o6.sat_conflict_budget = 7;
-  EXPECT_EQ(options_fingerprint(o6, "c432", 4), base);
+  EXPECT_EQ(options_fingerprint(o6, "c432", view, 4), base);
 }
 
 TEST(Checkpoint, MatchesRejectsEveryIdentityMismatch) {
   CampaignOptions opt;
   const std::string circuit = "c432";
+  const logic::Circuit view = logic::c17();
   ShardState s;
   s.circuit = circuit;
   s.shard_index = 1;
   s.shard_count = 4;
   s.n_reps_total = 500;
   s.pool_size = 2048;
-  s.options_fp = options_fingerprint(opt, circuit, 4);
+  s.options_fp = options_fingerprint(opt, circuit, view, 4);
   s.prng_state = util::Prng(opt.seed).state();
 
   std::string err;
-  EXPECT_TRUE(checkpoint_matches(s, opt, circuit, 1, 4, 500, 2048, &err))
+  EXPECT_TRUE(checkpoint_matches(s, opt, circuit, view, 1, 4, 500, 2048, &err))
       << err;
 
   const auto fails = [&](auto mutate, const char* what) {
@@ -349,7 +392,7 @@ TEST(Checkpoint, MatchesRejectsEveryIdentityMismatch) {
     CampaignOptions o = opt;
     mutate(m, o);
     std::string e;
-    EXPECT_FALSE(checkpoint_matches(m, o, circuit, 1, 4, 500, 2048, &e))
+    EXPECT_FALSE(checkpoint_matches(m, o, circuit, view, 1, 4, 500, 2048, &e))
         << what;
     EXPECT_FALSE(e.empty()) << what;
   };

@@ -441,6 +441,15 @@ TEST(SatCampaign, EscalatedShardedMergeMatchesOneShot) {
   opt.sat_escalate = true;
   const flow::CampaignReport oneshot = flow::run_campaign(c, opt);
   ASSERT_TRUE(oneshot.ok()) << oneshot.error;
+  // The persistent SatSession actually shares work on this tail. (Total
+  // conflicts can exceed per-fault fresh solving: SAT pairs are solved
+  // twice — session attempt, then the fresh path for byte-identical cube
+  // lifting. The conflicts-saved win belongs to refutation-heavy tails;
+  // BENCH_atpg_scale's incremental_sat section measures it.)
+  EXPECT_GT(oneshot.sat_pairs, 0);
+  EXPECT_GT(oneshot.sat_cone_hits, 0);
+  EXPECT_GT(oneshot.sat_incremental_refutes, 0);
+  ASSERT_GT(oneshot.sat_detected, 0);
   for (const int shards : {1, 4}) {
     const flow::CampaignReport merged = run_sharded(
         c, opt, shards, fresh_dir("shards" + std::to_string(shards)), false);
@@ -449,6 +458,9 @@ TEST(SatCampaign, EscalatedShardedMergeMatchesOneShot) {
     EXPECT_EQ(merged.detected, oneshot.detected);
     EXPECT_EQ(merged.sat_detected, oneshot.sat_detected);
     EXPECT_EQ(merged.sat_untestable, oneshot.sat_untestable);
+    // SAT cubes count in sat_detected, not as deterministic tests.
+    EXPECT_EQ(merged.tests_deterministic, oneshot.tests_deterministic);
+    EXPECT_EQ(merged.tests_final, oneshot.tests_final);
     EXPECT_EQ(merged.aborted, 0);
     EXPECT_DOUBLE_EQ(merged.provable_coverage, 1.0);
     EXPECT_GT(merged.sat_conflicts, 0);
@@ -555,37 +567,6 @@ TEST(SatIncremental, SessionMatchesFreshOnAbortTail) {
   EXPECT_LT(st.cone_encodes, st.pairs_total);
 }
 
-TEST(SatCampaign, IncrementalToggleIsInvariant) {
-  // --sat-incremental on|off must agree on everything the campaign
-  // contract covers: verdict counts, detection, and the matrix hash.
-  const Circuit c = logic::array_multiplier(3);
-  flow::CampaignOptions opt = abort_tail_options();
-  opt.sat_escalate = true;
-  opt.sat_incremental = true;
-  const flow::CampaignReport inc = flow::run_campaign(c, opt);
-  ASSERT_TRUE(inc.ok()) << inc.error;
-  opt.sat_incremental = false;
-  const flow::CampaignReport fresh = flow::run_campaign(c, opt);
-  ASSERT_TRUE(fresh.ok()) << fresh.error;
-
-  EXPECT_EQ(inc.matrix_hash, fresh.matrix_hash);
-  EXPECT_EQ(inc.detected, fresh.detected);
-  EXPECT_EQ(inc.sat_detected, fresh.sat_detected);
-  EXPECT_EQ(inc.sat_untestable, fresh.sat_untestable);
-  EXPECT_EQ(inc.sat_unknown, fresh.sat_unknown);
-  EXPECT_EQ(inc.tests_final, fresh.tests_final);
-
-  // The session counters surface only on the incremental run. (Total
-  // conflicts can exceed the fresh run's here: SAT pairs are solved twice
-  // — session attempt, then the fresh path for byte-identical cube
-  // lifting. The conflicts-saved win belongs to refutation-heavy tails;
-  // BENCH_atpg_scale's incremental_sat section measures it.)
-  EXPECT_GT(inc.sat_pairs, 0);
-  EXPECT_GT(inc.sat_cone_hits, 0);
-  EXPECT_GT(inc.sat_incremental_refutes, 0);
-  EXPECT_EQ(fresh.sat_pairs, 0);
-}
-
 TEST(SatCampaign, NdetectSkipsProvenUntestable) {
   // n-detect growth must not chase faults the SAT backend proved
   // untestable — they can never reach n detections, so keeping them only
@@ -598,34 +579,6 @@ TEST(SatCampaign, NdetectSkipsProvenUntestable) {
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_GT(r.sat_untestable, 0);
   EXPECT_EQ(r.ndetect_pruned_untestable, r.sat_untestable);
-}
-
-TEST(SatCampaign, SeededCubesJoinThePrepassPool) {
-  // With seeding on, don't-care bits of early SAT cubes become extra
-  // prepass patterns: later aborted representatives can be detected by a
-  // seeded pattern before PODEM ever reruns. The knob changes the test
-  // set, so it is one-shot only and off by default.
-  const Circuit c = logic::array_multiplier(3);
-  flow::CampaignOptions opt = abort_tail_options();
-  opt.sat_escalate = true;
-  opt.seed_sat_cubes = true;
-  const flow::CampaignReport r = flow::run_campaign(c, opt);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.aborted, 0);
-  EXPECT_GT(r.seeded_tests, 0);
-  EXPECT_DOUBLE_EQ(r.provable_coverage, 1.0);
-
-  // Sharded campaigns reject the knob instead of silently diverging.
-  flow::SupervisorOptions sup;
-  sup.checkpoint_dir = fresh_dir("seeded");
-  sup.shards = 2;
-  sup.in_process = true;
-  const flow::CampaignReport sharded =
-      flow::run_supervised_campaign(logic::SequentialCircuit(c), opt, sup)
-          .report;
-  EXPECT_FALSE(sharded.ok());
-  EXPECT_NE(sharded.error.find("seed-sat-cubes"), std::string::npos)
-      << sharded.error;
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -418,6 +420,58 @@ TEST_F(SupervisorTest, ResumeRejectsACheckpointFromDifferentOptions) {
   const ShardRunResult r = run_campaign_shard(p.seq, opt, so);
   EXPECT_EQ(r.status, ShardRunStatus::kBadCheckpoint);
   EXPECT_NE(r.error.find("fingerprint"), std::string::npos) << r.error;
+}
+
+// A same-name, same-size netlist with one rewired gate must not inherit
+// the original's checkpoints: a 2-shard c2670 OBD campaign, then
+// ADDX50 = XOR(A50, B50) -> XOR(A50, B51) in a copy of the netlist and a
+// resume on the same checkpoint dir. Both stale checkpoints are rejected
+// and their shards re-run fresh, so the merge equals a fresh run of the
+// rewired netlist.
+TEST_F(SupervisorTest, ResumeRejectsCheckpointsOfARewiredNetlist) {
+  std::ifstream in(corpus("c2670.bench"));
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string text = buf.str();
+  const io::BenchParseResult p = io::parse_bench(text, "c2670");
+  ASSERT_TRUE(p.ok) << p.error;
+  const std::string from = "ADDX50 = XOR(A50, B50)";
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "ADDX50 = XOR(A50, B51)");
+  const io::BenchParseResult q = io::parse_bench(text, "c2670");
+  ASSERT_TRUE(q.ok) << q.error;
+
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.max_backtracks = 20;
+  opt.sat_escalate = true;
+  SupervisorOptions sup;
+  sup.checkpoint_dir = fresh_dir("rewire");
+  sup.shards = 2;
+  sup.in_process = true;
+  sup.backoff_base_s = 0.01;
+  const SupervisorResult before = run_supervised_campaign(p.seq, opt, sup);
+  ASSERT_TRUE(before.report.ok()) << before.report.error;
+
+  ShardRunOptions so;
+  so.checkpoint_dir = sup.checkpoint_dir;
+  so.shard_count = 2;
+  so.resume = true;
+  const ShardRunResult stale = run_campaign_shard(q.seq, opt, so);
+  EXPECT_EQ(stale.status, ShardRunStatus::kBadCheckpoint);
+  EXPECT_NE(stale.error.find("fingerprint"), std::string::npos) << stale.error;
+
+  sup.resume = true;
+  const SupervisorResult res = run_supervised_campaign(q.seq, opt, sup);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  EXPECT_EQ(count_outcome(res, ShardOutcome::kCorrupt), 2);
+  EXPECT_EQ(res.retries, 2);
+  EXPECT_TRUE(res.quarantined.empty());
+  const CampaignReport fresh = run_campaign(q.seq, opt);
+  ASSERT_TRUE(fresh.ok()) << fresh.error;
+  EXPECT_NE(fresh.matrix_hash, before.report.matrix_hash);
+  expect_matches_baseline(res.report, fresh, "rewired resume");
 }
 
 // --- Configuration and spec validation -----------------------------------

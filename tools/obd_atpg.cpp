@@ -42,20 +42,10 @@
 //                                  coverage); deterministic, so the
 //                                  matrix_hash contract is preserved
 //   --sat-conflict-budget N        CDCL conflicts per SAT solver call
-//                                  (default 100000; 0 = unlimited)
-//   --sat-incremental on|off       assumption-based incremental SAT for the
-//                                  escalation tail (default on): the good
-//                                  circuit is encoded once per campaign,
-//                                  each faulty cone is gated behind an
-//                                  activation literal, and learned clauses
-//                                  persist across faults. Verdicts and test
-//                                  cubes are identical to fresh solving;
-//                                  off re-encodes from scratch per fault
-//   --seed-sat-cubes               push the don't-care bits of early SAT
-//                                  test cubes back into the random prepass
-//                                  pool as seeded fills (default off: the
-//                                  extra patterns change matrix_hash; not
-//                                  available in sharded runs)
+//                                  (default 100000; 0 = unlimited). The
+//                                  escalation tail shares one incremental
+//                                  SAT session: good circuit encoded once,
+//                                  learned clauses kept across faults
 //   --ndetect N                    grow an n-detect set (obd model only)
 //   --no-compact                   skip greedy set-cover compaction
 //   --report FILE.json             write the JSON report (atomically:
@@ -86,7 +76,8 @@
 //                                  --shard-timeout watchdog
 //   --progress-interval S          heartbeat/status cadence (default 1.0)
 //
-// Crash-tolerant sharded campaigns:
+// Crash-tolerant sharded campaigns (a one-shot run is the same executor
+// on one in-memory shard, so the merged report matches it by construction):
 //   --shards N                     supervise N shard child processes and
 //                                  merge their checkpoints (bit-identical
 //                                  to the one-shot run; exit 3 when shards
@@ -97,6 +88,9 @@
 //   --checkpoint-dir DIR           shard checkpoint directory (required
 //                                  for --shards / --shard)
 //   --resume                       continue from committed checkpoints
+//                                  (a checkpoint taken on different
+//                                  netlist content or options is rejected
+//                                  and its shard re-runs fresh)
 //   --shard-timeout S              per-attempt watchdog deadline, seconds
 //   --max-retries N                retries before quarantining a shard
 //                                  (default 2)
@@ -151,8 +145,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "       [--delta-goods on|off|auto] "
                "[--grey-order] [--random N] [--seed S]\n"
                "       [--backtracks N] [--podem-time S] [--sat-escalate] "
-               "[--sat-conflict-budget N] [--sat-incremental on|off] "
-               "[--seed-sat-cubes] [--ndetect N]\n"
+               "[--sat-conflict-budget N] [--ndetect N]\n"
                "       [--no-compact] [--report FILE.json] "
                "[--min-coverage F] [--write-bench FILE] [--quiet] "
                "[--verbose]\n"
@@ -329,17 +322,6 @@ int main(int argc, char** argv) {
       if (!parse_long(value("--sat-conflict-budget"), n) || n < 0)
         return usage(argv[0]);
       opt.sat_conflict_budget = n;
-    } else if (a == "--sat-incremental") {
-      const std::string m = value("--sat-incremental");
-      if (m == "on") opt.sat_incremental = true;
-      else if (m == "off") opt.sat_incremental = false;
-      else {
-        obs::logf(obs::LogLevel::kError, "unknown --sat-incremental '%s'",
-                  m.c_str());
-        return 1;
-      }
-    } else if (a == "--seed-sat-cubes") {
-      opt.seed_sat_cubes = true;
     } else if (a == "--ndetect") {
       if (!parse_long(value("--ndetect"), n) || n < 0) return usage(argv[0]);
       opt.ndetect = static_cast<int>(n);
