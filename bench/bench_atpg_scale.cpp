@@ -11,7 +11,7 @@
 // full-circuit evaluation vs multi-lane pattern blocks (64 lanes, plus the
 // 256-lane LaneBlock SIMD width) with event-driven frontier propagation
 // and fault dropping, at identical coverage. The sched section sweeps
-// lanes x packing x threads; the c7552 rows are the regression sentinel
+// lanes x threads; the c7552 rows are the regression sentinel
 // for the wide-tier cliff this engine exists to kill.
 #include "bench_common.hpp"
 #include <algorithm>
@@ -171,30 +171,6 @@ struct SatRow {
   double sat_provable = 0.0;     // provable_coverage after escalation
 };
 
-/// Cross-block delta good evaluation on the wide-tier sentinel: c7552
-/// block throughput with --delta-goods off vs on, over a correlated
-/// (grey-sorted) pattern stream — the workload the resident-goods reuse
-/// targets. The identical column re-asserts the bit-identity contract.
-struct DeltaRow {
-  std::string circuit;
-  std::string partition;  // "full" or "shard32" (strided fault subset)
-  std::size_t faults = 0;
-  std::size_t patterns = 0;
-  double off_s = 0.0;
-  double on_s = 0.0;
-  long long delta_good_evals = 0;     // blocks served by the delta walk
-  long long delta_full_fallbacks = 0; // blocks that fell back to full eval
-  bool identical = false;
-
-  double off_fps() const {
-    return static_cast<double>(faults * patterns) / off_s;
-  }
-  double on_fps() const {
-    return static_cast<double>(faults * patterns) / on_s;
-  }
-  double speedup() const { return off_s / on_s; }
-};
-
 /// Incremental SAT on the PODEM abort tail of a starved-backtracks OBD
 /// campaign: every aborted fault solved twice, once by the fresh per-fault
 /// encoder and once on one persistent assumption-based session. Verdicts
@@ -246,14 +222,13 @@ struct ObsOverheadRow {
 
 struct SchedRow {
   std::string circuit;
-  std::string mode;
   int threads = 0;
   int lanes = 64;
   std::size_t faults = 0;
   std::size_t patterns = 0;
   double secs = 0.0;
   double fps = 0.0;      // fault x patterns / sec
-  double speedup = 0.0;  // vs the 1-thread 64-lane pattern-major baseline
+  double speedup = 0.0;  // vs the 1-thread 64-lane baseline
   bool identical = false;
 };
 
@@ -274,7 +249,6 @@ void appendf(std::string& out, const char* fmt, ...) {
 std::string rows_json(const std::vector<SimComparison>& rows,
                       const std::vector<SchedRow>& sched,
                       const std::vector<SatRow>& sat,
-                      const std::vector<DeltaRow>& delta,
                       const std::vector<IncSatRow>& inc,
                       const std::vector<ObsOverheadRow>& obs) {
   std::string out = "  \"circuits\": [\n";
@@ -297,10 +271,10 @@ std::string rows_json(const std::vector<SimComparison>& rows,
     const SchedRow& r = sched[i];
     appendf(
         out,
-        "    {\"name\": \"%s\", \"mode\": \"%s\", \"threads\": %d, "
+        "    {\"name\": \"%s\", \"threads\": %d, "
         "\"lanes\": %d, \"obd_faults\": %zu, \"patterns\": %zu, "
         "\"fps\": %.4g, \"speedup_vs_1t\": %.4g, \"identical\": %s}%s\n",
-        r.circuit.c_str(), r.mode.c_str(), r.threads, r.lanes, r.faults,
+        r.circuit.c_str(), r.threads, r.lanes, r.faults,
         r.patterns, r.fps, r.speedup, r.identical ? "true" : "false",
         i + 1 < sched.size() ? "," : "");
   }
@@ -317,20 +291,6 @@ std::string rows_json(const std::vector<SimComparison>& rows,
         r.sat_detected, r.sat_untestable, r.sat_unknown, r.sat_conflicts,
         r.podem_s, r.sat_s, r.podem_provable, r.sat_provable,
         i + 1 < sat.size() ? "," : "");
-  }
-  out += "  ],\n  \"delta_goods\": [\n";
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    const DeltaRow& r = delta[i];
-    appendf(
-        out,
-        "    {\"name\": \"%s\", \"partition\": \"%s\", \"obd_faults\": %zu, "
-        "\"patterns\": %zu, \"off_fps\": %.4g, \"on_fps\": %.4g, "
-        "\"speedup\": %.4g, \"delta_good_evals\": %lld, "
-        "\"delta_full_fallbacks\": %lld, \"identical\": %s}%s\n",
-        r.circuit.c_str(), r.partition.c_str(), r.faults, r.patterns,
-        r.off_fps(), r.on_fps(), r.speedup(), r.delta_good_evals,
-        r.delta_full_fallbacks, r.identical ? "true" : "false",
-        i + 1 < delta.size() ? "," : "");
   }
   out += "  ],\n  \"incremental_sat\": [\n";
   for (std::size_t i = 0; i < inc.size(); ++i) {
@@ -374,10 +334,9 @@ std::string rows_json(const std::vector<SimComparison>& rows,
 void emit_json(const std::vector<SimComparison>& rows,
                const std::vector<SchedRow>& sched,
                const std::vector<SatRow>& sat,
-               const std::vector<DeltaRow>& delta,
                const std::vector<IncSatRow>& inc,
                const std::vector<ObsOverheadRow>& obs) {
-  const std::string body = rows_json(rows, sched, sat, delta, inc, obs);
+  const std::string body = rows_json(rows, sched, sat, inc, obs);
   std::string doc = "{\n  \"bench\": \"atpg_scale_faultsim\",\n"
                     "  \"unit\": \"fault_patterns_per_sec\",\n";
   appendf(doc, "  \"rows_crc32c\": \"%08x\",\n", obd::util::crc32c(body));
@@ -395,12 +354,12 @@ void emit_json(const std::vector<SimComparison>& rows,
   }
 }
 
-/// Scheduler scaling: threads x packing over the largest zoo circuits, with
+/// Scheduler scaling: lanes x threads over the largest zoo circuits, with
 /// every configuration's DetectionMatrix checked bit-identical against the
-/// 1-thread pattern-major baseline.
+/// 1-thread 64-lane baseline.
 std::vector<SchedRow> reproduce_scheduler_scale() {
   std::printf(
-      "=== Scheduler scaling: lanes x packing x threads (OBD detection "
+      "=== Scheduler scaling: lanes x threads (OBD detection "
       "matrix) ===\n\n");
   std::vector<SchedRow> rows;
   std::vector<logic::Circuit> circuits;
@@ -409,30 +368,23 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   for (auto& c : iscas_circuits()) circuits.push_back(std::move(c));
   for (auto& c : iscas_circuits(/*wide=*/true)) circuits.push_back(std::move(c));
 
-  struct Config {
-    const char* mode;
-    SimOptions sim;
-  };
-  const Config configs[] = {
-      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor}},
-      {"pattern", {.threads = 2, .packing = SimPacking::kPatternMajor}},
-      {"pattern", {.threads = 4, .packing = SimPacking::kPatternMajor}},
-      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor,
-                   .lane_words = 4}},
-      {"pattern", {.threads = 1, .packing = SimPacking::kPatternMajor,
-                   .lane_words = 8}},
-      {"pattern", {.threads = 2, .packing = SimPacking::kPatternMajor,
-                   .lane_words = 4}},
-      {"fault", {.threads = 1, .packing = SimPacking::kFaultMajor}},
+  // The first row is the baseline every other row is compared against.
+  const SimOptions configs[] = {
+      {.threads = 1},
+      {.threads = 2},
+      {.threads = 4},
+      {.threads = 1, .lane_words = 4},
+      {.threads = 1, .lane_words = 8},
+      {.threads = 2, .lane_words = 4},
   };
 
   util::AsciiTable t("scheduler throughput (fault x patterns / sec)");
-  t.set_header({"circuit", "faults", "tests", "mode", "threads", "lanes",
+  t.set_header({"circuit", "faults", "tests", "threads", "lanes",
                 "fps", "speedup", "identical"});
   for (const auto& c : circuits) {
     const auto faults = enumerate_obd_faults(c);
     // The wide tier carries several-x larger fault lists; trim the pattern
-    // budget so the full lanes x packing x threads sweep stays a bench,
+    // budget so the full lanes x threads sweep stays a bench,
     // not a soak.
     const int n_tests = c.inputs().size() > 64 ? 256 : 1024;
     const auto tests =
@@ -440,7 +392,7 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
     const double work = static_cast<double>(faults.size() * tests.size());
     DetectionMatrix baseline;
     double baseline_s = 0.0;
-    for (const Config& cfg : configs) {
+    for (const SimOptions& cfg : configs) {
       DetectionMatrix m;
       SchedRow row;
       // Engine construction (topo caches, per-worker state) stays off the
@@ -450,7 +402,7 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       row.secs = 1e300;
       double spent = 0.0;
       for (int rep = 0; rep < 3 || (rep < 8 && spent < 0.12); ++rep) {
-        FaultSimScheduler sched(c, cfg.sim);
+        FaultSimScheduler sched(c, cfg);
         const auto t0 = Clock::now();
         m = sched.matrix_obd(tests, faults);
         const double s = seconds_since(t0);
@@ -458,15 +410,12 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
         row.secs = std::min(row.secs, s);
       }
       row.circuit = c.name();
-      row.mode = cfg.mode;
-      row.threads = cfg.sim.threads;
-      row.lanes = 64 * std::max(1, cfg.sim.lane_words);
+      row.threads = cfg.threads;
+      row.lanes = 64 * std::max(1, cfg.lane_words);
       row.faults = faults.size();
       row.patterns = tests.size();
       row.fps = work / row.secs;
-      const bool is_baseline = cfg.sim.threads == 1 &&
-                               cfg.sim.lane_words <= 1 &&
-                               cfg.sim.packing == SimPacking::kPatternMajor;
+      const bool is_baseline = &cfg == &configs[0];
       if (is_baseline) {
         baseline = m;
         baseline_s = row.secs;
@@ -476,8 +425,7 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
       row.speedup = baseline_s / row.secs;
       rows.push_back(row);
       t.add_row({row.circuit, std::to_string(row.faults),
-                 std::to_string(row.patterns), row.mode,
-                 std::to_string(row.threads), std::to_string(row.lanes),
+                 std::to_string(row.patterns), std::to_string(row.threads), std::to_string(row.lanes),
                  util::format_g(row.fps, 3),
                  util::format_g(row.speedup, 3) + "x",
                  row.identical ? "yes" : "NO"});
@@ -485,10 +433,8 @@ std::vector<SchedRow> reproduce_scheduler_scale() {
   }
   t.print();
   std::printf(
-      "pattern-major shards blocks of `lanes` tests across the worker pool\n"
-      "(wide rows run the LaneBlock SIMD kernels); the fault-major row\n"
-      "packs 64 faults per word against one test (the mode the scheduler\n"
-      "auto-selects for tiny test lists). Detection matrices are\n"
+      "the scheduler shards blocks of `lanes` tests across the worker pool\n"
+      "(wide rows run the LaneBlock SIMD kernels). Detection matrices are\n"
       "bit-identical across every row; sub-threshold circuits auto-serial.\n\n");
   return rows;
 }
@@ -560,102 +506,6 @@ std::vector<SatRow> reproduce_sat_escalation() {
       "abort tail; --sat-escalate resolves each abort inline into a\n"
       "validated cube or an untestability proof, lifting provable coverage\n"
       "to the exact redundancy-aware bound at a sub-linear wall-time cost.\n\n");
-  return rows;
-}
-
-/// Delta good evaluation on the wide-tier sentinel: c7552 block campaign
-/// throughput with delta off vs forced on, over a correlated stream the
-/// resident-goods reuse targets (low PIs repeat the same 64-test pattern
-/// per block, PIs 64..68 walk the block index in Gray order — so exactly
-/// one PI lane word changes per block boundary). Two fault partitions:
-/// the full list, where per-fault propagation amortizes the good eval
-/// and delta is roughly neutral, and a shard-sized strided subset (the
-/// partition a 32-shard supervised campaign hands each worker), where
-/// the per-block good evaluation is a real share of the bill and the
-/// delta walk pays for itself.
-std::vector<DeltaRow> reproduce_delta_goods() {
-  std::printf(
-      "=== Delta good evaluation: c7552 block throughput, delta off/on "
-      "===\n\n");
-  std::vector<DeltaRow> rows;
-  const io::BenchParseResult pr =
-      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c7552.bench");
-  if (!pr.ok) {
-    std::fprintf(stderr, "corpus c7552.bench: %s\n", pr.error.c_str());
-    return rows;
-  }
-  const logic::Circuit c = logic::decompose_composites(pr.circuit());
-  const auto all_faults = enumerate_obd_faults(c);
-
-  std::vector<TwoVectorTest> tests;
-  for (int i = 0; i < 2048; ++i) {
-    const unsigned low = static_cast<unsigned>(i) & 63u;
-    const unsigned blk = static_cast<unsigned>(i) >> 6;
-    const unsigned grey = blk ^ (blk >> 1);
-    TwoVectorTest t;
-    for (int b = 0; b < 6; ++b) {
-      t.v1.set_bit(static_cast<std::size_t>(b), ((low >> b) & 1u) != 0);
-      t.v2.set_bit(static_cast<std::size_t>(b), ((low >> b) & 1u) != 0);
-    }
-    for (int b = 0; b < 5; ++b) {
-      t.v1.set_bit(static_cast<std::size_t>(64 + b), ((grey >> b) & 1u) != 0);
-      t.v2.set_bit(static_cast<std::size_t>(64 + b), ((grey >> b) & 1u) != 0);
-    }
-    tests.push_back(t);
-  }
-
-  util::AsciiTable t("delta good evaluation (c7552 OBD campaign, 64 lanes)");
-  t.set_header({"circuit", "partition", "faults", "tests", "off fps",
-                "on fps", "speedup", "delta evals", "fallbacks",
-                "identical"});
-  const struct {
-    const char* partition;
-    std::size_t stride;
-  } parts[] = {{"full", 1}, {"shard32", 32}};
-  for (const auto& part : parts) {
-    std::vector<logic::ObdFaultSite> faults;
-    for (std::size_t i = 0; i < all_faults.size(); i += part.stride)
-      faults.push_back(all_faults[i]);
-
-    DeltaRow row;
-    row.circuit = c.name();
-    row.partition = part.partition;
-    row.faults = faults.size();
-    row.patterns = tests.size();
-    int off_detected = 0;
-    int on_detected = 0;
-    {
-      FaultSimEngine off(c, EngineOptions{.delta_goods = DeltaGoods::kOff});
-      row.off_s = min2([&] {
-        off_detected = off.campaign_obd(tests, faults, false).detected;
-      });
-    }
-    {
-      FaultSimEngine on(c, EngineOptions{.delta_goods = DeltaGoods::kOn});
-      row.on_s = min2([&] {
-        on_detected = on.campaign_obd(tests, faults, false).detected;
-      });
-      row.delta_good_evals = on.delta_good_evals();
-      row.delta_full_fallbacks = on.delta_full_fallbacks();
-    }
-    row.identical = off_detected == on_detected;
-    rows.push_back(row);
-    t.add_row({row.circuit, row.partition, std::to_string(row.faults),
-               std::to_string(row.patterns), util::format_g(row.off_fps(), 3),
-               util::format_g(row.on_fps(), 3),
-               util::format_g(row.speedup(), 3) + "x",
-               std::to_string(row.delta_good_evals),
-               std::to_string(row.delta_full_fallbacks),
-               row.identical ? "yes" : "NO"});
-  }
-  t.print();
-  std::printf(
-      "delta keeps the previous block's good lanes resident and reseeds the\n"
-      "frontier walk from the changed PI words only; on this stream every\n"
-      "block after the first is served by the delta walk, and detections\n"
-      "stay bit-identical to full evaluation. The full-list row shows the\n"
-      "amortized-good-eval ceiling; the shard-sized partition is where the\n"
-      "saved full evaluations show up as throughput.\n\n");
   return rows;
 }
 
@@ -781,8 +631,7 @@ std::vector<ObsOverheadRow> reproduce_obs_overhead() {
   // is one-sided (a rep is only ever slower than the quiet-host time), so
   // the min over interleaved rounds converges to comparable quiet-window
   // times for all three configurations.
-  FaultSimScheduler sched(c, {.threads = 1,
-                              .packing = SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 1});
   const auto sample = [&] {
     const auto t0 = Clock::now();
     benchmark::DoNotOptimize(sched.matrix_obd(tests, faults).covered_count);
@@ -870,13 +719,12 @@ void reproduce_faultsim_scale() {
       "blocks.\n\n");
   const std::vector<SchedRow> sched_rows = reproduce_scheduler_scale();
   const std::vector<SatRow> sat_rows = reproduce_sat_escalation();
-  const std::vector<DeltaRow> delta_rows = reproduce_delta_goods();
   const std::vector<IncSatRow> inc_rows = reproduce_incremental_sat();
   const std::vector<ObsOverheadRow> obs_rows = reproduce_obs_overhead();
-  emit_json(rows, sched_rows, sat_rows, delta_rows, inc_rows, obs_rows);
+  emit_json(rows, sched_rows, sat_rows, inc_rows, obs_rows);
   std::printf(
-      "JSON (circuits + sched + sat_escalation + delta_goods + "
-      "incremental_sat + observability_overhead rows): "
+      "JSON (circuits + sched + sat_escalation + incremental_sat + "
+      "observability_overhead rows): "
       "BENCH_atpg_scale.json\n\n");
 }
 

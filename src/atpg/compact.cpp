@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 namespace obd::atpg {
 namespace {
@@ -164,38 +163,39 @@ XMergeResult merge_x_overlap(const Circuit& c,
                              const std::vector<ObdFaultSite>& faults) {
   XMergeResult out;
   FaultSimEngine engine(c);
-  // test_obd with the identity index packs its detect words with fault f
-  // at bit (f & 63) of word (f >> 6) — the superset()/or_into() layout.
-  std::vector<int> all(faults.size());
-  std::iota(all.begin(), all.end(), 0);
-  std::vector<std::uint64_t> scratch;
+  // Each concrete fill runs as a one-lane pattern block: bit 0 of detect
+  // word i is set when the fill detects fault i of the simulated list.
+  PatternBlock block(c);
+  std::vector<std::uint64_t> detect;
+  const auto simulate = [&](const XTwoVectorTest& t,
+                            const std::vector<ObdFaultSite>& fl) {
+    block.clear();
+    block.push(t.concrete());
+    engine.block_obd(block, fl, detect);
+  };
+  // Packed with fault f at bit (f & 63) of word (f >> 6) — the or_into()
+  // layout.
   const auto concrete_obd = [&](const XTwoVectorTest& t) {
-    engine.test_obd(t.concrete(), faults, all, scratch);
-    return scratch;
+    simulate(t, faults);
+    std::vector<std::uint64_t> packed((faults.size() + 63) / 64, 0);
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      packed[f >> 6] |= (detect[f] & 1u) << (f & 63);
+    return packed;
   };
   // Acceptance only asks whether `t` detects every fault in `need` (the
   // constituents' detections, usually a tiny fraction of the fault list),
-  // so simulate just those: every lane of every word must come back set.
-  std::vector<int> need_idx;
+  // so simulate just those.
+  std::vector<ObdFaultSite> need_faults;
   const auto detects_all = [&](const XTwoVectorTest& t,
                                const std::vector<std::uint64_t>& need) {
-    need_idx.clear();
-    for (std::size_t w = 0; w < need.size(); ++w) {
-      std::uint64_t word = need[w];
-      while (word) {
-        need_idx.push_back(
-            static_cast<int>(w * 64 + static_cast<std::size_t>(
-                                          std::countr_zero(word))));
-        word &= word - 1;
-      }
-    }
-    engine.test_obd(t.concrete(), faults, need_idx, scratch);
-    for (std::size_t w = 0; w < scratch.size(); ++w) {
-      const std::size_t lanes =
-          std::min<std::size_t>(64, need_idx.size() - w * 64);
-      const std::uint64_t full = lanes == 64 ? ~0ull : ((1ull << lanes) - 1);
-      if ((scratch[w] & full) != full) return false;
-    }
+    need_faults.clear();
+    for (std::size_t w = 0; w < need.size(); ++w)
+      for (std::uint64_t word = need[w]; word; word &= word - 1)
+        need_faults.push_back(
+            faults[w * 64 + static_cast<std::size_t>(std::countr_zero(word))]);
+    simulate(t, need_faults);
+    for (const std::uint64_t d : detect)
+      if (!(d & 1u)) return false;
     return true;
   };
 

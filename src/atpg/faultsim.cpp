@@ -16,9 +16,8 @@ std::vector<bool> row0_bools(const DetectionMatrix& m) {
 }  // namespace
 
 // --- One-test wrappers over the scheduler -----------------------------------
-// The auto packing picks the fault-major axis here (one test, many faults):
-// ceil(faults/64) full-circuit evaluations instead of one cone pass per
-// fault — and every existing caller exercises that kernel.
+// One test is a one-lane pattern block: two good evaluations, then one
+// event-driven propagation per excited net, shared by every fault on it.
 
 std::vector<bool> simulate_stuck_at(const Circuit& c, const InputVec& pattern,
                                     const std::vector<StuckFault>& faults) {

@@ -11,10 +11,10 @@
 //    for window-of-opportunity studies.
 //
 // All set-level work runs through the FaultSimScheduler
-// (faultsim_engine.hpp), which picks a packing axis per call shape — 64
-// patterns per word with per-fault cone propagation, or 64 faults per word
-// against one pattern — and optionally shards pattern blocks across worker
-// threads, with results bit-identical at any thread count. The single-test
+// (faultsim_engine.hpp), which packs 64 patterns per word with one
+// event-driven propagation per excited net, and optionally shards pattern
+// blocks across worker threads, with results bit-identical at any thread
+// count. The single-test
 // functions below are one-test wrappers kept for API compatibility;
 // `legacy::` holds the original one-fault-one-pattern reference
 // implementations for equivalence tests and benchmarks.
@@ -60,7 +60,7 @@ bool simulate_obd_timing(const Circuit& c, const TwoVectorTest& test,
                          const logic::DelayLibrary& lib = {});
 
 // DetectionMatrix itself lives in faultsim_engine.hpp (the scheduler builds
-// it); the builders below pick packing and threads from `sim`.
+// it); the builders below take threads and lane width from `sim`.
 
 DetectionMatrix build_stuck_matrix(const Circuit& c,
                                    const std::vector<InputVec>& patterns,

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <numeric>
 #include <thread>
 
 #include "core/excitation.hpp"
@@ -14,6 +13,19 @@
 #include "obs/trace.hpp"
 
 namespace obd::atpg {
+
+namespace {
+
+/// Stuck-at patterns as two-vector tests with v1 == v2 (the block kernels
+/// read only the second frame).
+std::vector<TwoVectorTest> stuck_tests(const std::vector<InputVec>& patterns) {
+  std::vector<TwoVectorTest> tests;
+  tests.reserve(patterns.size());
+  for (const InputVec& p : patterns) tests.push_back({p, p});
+  return tests;
+}
+
+}  // namespace
 
 std::size_t DetectionMatrix::row_count(std::size_t test) const {
   std::size_t n = 0;
@@ -62,9 +74,7 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
       gate_level_(c.gate_levels()),
       po_mask_(c.num_nets(), 0),
       changed_(c.num_nets(), 0),
-      queued_(c.num_gates(), 0),
-      inj_set0_(c.num_nets(), 0),
-      inj_set1_(c.num_nets(), 0) {
+      queued_(c.num_gates(), 0) {
   if (opt_.lane_words < 1) opt_.lane_words = 1;
   const auto W = static_cast<std::size_t>(opt_.lane_words);
   bad_.assign(c.num_nets() * W, 0);
@@ -82,17 +92,12 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   // the slab, and only the last growth's pointers are stable.
   const EngineMetricIds& ids = EngineMetricIds::get();
   for (obs::MetricId id :
-       {ids.propagations, ids.frontier_events, ids.frontier_gate_evals,
-        ids.delta_good_evals, ids.delta_full_fallbacks, ids.delta_gate_evals,
-        ids.delta_changed_pis}) {
+       {ids.propagations, ids.frontier_events, ids.frontier_gate_evals}) {
     metrics_.slot(id);
   }
   propagations_ = metrics_.slot(ids.propagations);
   frontier_events_ = metrics_.slot(ids.frontier_events);
   frontier_gate_evals_ = metrics_.slot(ids.frontier_gate_evals);
-  delta_good_evals_ = metrics_.slot(ids.delta_good_evals);
-  delta_full_fallbacks_ = metrics_.slot(ids.delta_full_fallbacks);
-  delta_gate_evals_ = metrics_.slot(ids.delta_gate_evals);
 }
 
 const EngineMetricIds& EngineMetricIds::get() {
@@ -101,10 +106,6 @@ const EngineMetricIds& EngineMetricIds::get() {
     m.propagations = obs::counter("sim.propagations");
     m.frontier_events = obs::counter("sim.frontier_events");
     m.frontier_gate_evals = obs::counter("sim.frontier_gate_evals");
-    m.delta_good_evals = obs::counter("sim.delta_good_evals");
-    m.delta_full_fallbacks = obs::counter("sim.delta_full_fallbacks");
-    m.delta_gate_evals = obs::counter("sim.delta_gate_evals");
-    m.delta_changed_pis = obs::histogram("sim.delta_changed_pis");
     return m;
   }();
   return ids;
@@ -124,31 +125,31 @@ void FaultSimEngine::mark_changed(NetId n) {
   }
 }
 
-long long FaultSimEngine::drain(const std::uint64_t* ref, std::uint64_t* cur,
-                                std::size_t W, std::uint64_t* diff,
-                                long long* evals) {
+long long FaultSimEngine::drain(const std::uint64_t* good, std::size_t W,
+                                std::uint64_t* diff) {
   const std::uint64_t* ins[8];
   std::uint64_t* const tmp = eval_tmp_.data();
+  std::uint64_t* const bad = bad_.data();
   long long events = 0;
   for (int l = lo_; l <= hi_; ++l) {
     std::vector<int>& bucket = buckets_[static_cast<std::size_t>(l)];
     for (const int gi : bucket) {
       queued_[static_cast<std::size_t>(gi)] = 0;
-      ++*evals;
+      ++*frontier_gate_evals_;
       const auto& gate = c_.gate(gi);
       for (std::size_t k = 0; k < gate.inputs.size(); ++k) {
         const auto in = static_cast<std::size_t>(gate.inputs[k]);
-        ins[k] = (changed_[in] ? cur : ref) + in * W;
+        ins[k] = (changed_[in] ? bad : good) + in * W;
       }
       logic::gate_eval_lanes(gate.type, ins, tmp, W);
       const auto on = static_cast<std::size_t>(gate.output);
       std::uint64_t d = 0;
-      for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ ref[on * W + w];
+      for (std::size_t w = 0; w < W; ++w) d |= tmp[w] ^ good[on * W + w];
       if (!d) continue;  // the change dies at this gate
-      if (diff && po_mask_[on])
+      if (po_mask_[on])
         for (std::size_t w = 0; w < W; ++w)
-          diff[w] |= tmp[w] ^ ref[on * W + w];
-      for (std::size_t w = 0; w < W; ++w) cur[on * W + w] = tmp[w];
+          diff[w] |= tmp[w] ^ good[on * W + w];
+      for (std::size_t w = 0; w < W; ++w) bad[on * W + w] = tmp[w];
       ++events;
       mark_changed(gate.output);
     }
@@ -181,69 +182,7 @@ void FaultSimEngine::propagate(const std::uint64_t* good, std::size_t n_words,
     for (std::size_t w = 0; w < W; ++w)
       diff[w] |= forced_words[w] ^ good[fs * W + w];
   mark_changed(forced);
-  *frontier_events_ += 1 + drain(good, bad, W, diff, frontier_gate_evals_);
-}
-
-void FaultSimEngine::delta_eval(const std::vector<std::uint64_t>& pi_words,
-                                std::vector<std::uint64_t>& values,
-                                const std::vector<int>& changed_pis) {
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  std::uint64_t* vals = values.data();
-  for (int idx : changed_pis) {
-    const NetId n = c_.inputs()[static_cast<std::size_t>(idx)];
-    const auto s = static_cast<std::size_t>(n);
-    for (std::size_t w = 0; w < W; ++w)
-      vals[s * W + w] = pi_words[static_cast<std::size_t>(idx) * W + w];
-    mark_changed(n);
-  }
-  // In place: `values` is both the reference and the current valuation. A
-  // gate drains only after every input's final word for this block is
-  // written (its drivers sit at lower levels), and a gate that is never
-  // queued keeps its resident word, which is still current because its
-  // inputs equal the previous block's.
-  drain(vals, vals, W, nullptr, delta_gate_evals_);
-}
-
-void FaultSimEngine::eval_goods(const std::vector<std::uint64_t>& pi_words,
-                                std::vector<std::uint64_t>& values,
-                                std::vector<std::uint64_t>& prev_pi,
-                                bool& valid) {
-  const auto W = static_cast<std::size_t>(opt_.lane_words);
-  if (opt_.delta_goods == DeltaGoods::kOff) {
-    c_.eval_wide_into(pi_words, W, values);
-    valid = false;
-    return;
-  }
-  // Full-sweep fallback when there is no resident state to delta against
-  // (first block, or the buffers were reshaped by a fault-major call).
-  if (!valid || values.size() != c_.num_nets() * W ||
-      prev_pi.size() != pi_words.size()) {
-    c_.eval_wide_into(pi_words, W, values);
-    prev_pi = pi_words;
-    valid = true;
-    ++*delta_full_fallbacks_;
-    return;
-  }
-  changed_pis_.clear();
-  const std::size_t n_pi = c_.inputs().size();
-  for (std::size_t i = 0; i < n_pi; ++i)
-    if (logic::lanes_differ(pi_words.data() + i * W, prev_pi.data() + i * W,
-                            W))
-      changed_pis_.push_back(static_cast<int>(i));
-  metrics_.observe(EngineMetricIds::get().delta_changed_pis,
-                   changed_pis_.size());
-  // kAuto: past this changed-PI fraction the delta walk re-evaluates most
-  // of the circuit anyway, so the full sweep's tighter loop wins.
-  if (opt_.delta_goods == DeltaGoods::kAuto &&
-      changed_pis_.size() * 4 > n_pi) {
-    c_.eval_wide_into(pi_words, W, values);
-    prev_pi = pi_words;
-    ++*delta_full_fallbacks_;
-    return;
-  }
-  ++*delta_good_evals_;
-  delta_eval(pi_words, values, changed_pis_);
-  prev_pi = pi_words;
+  *frontier_events_ += 1 + drain(good, W, diff);
 }
 
 std::uint64_t FaultSimEngine::forced_diff(
@@ -310,7 +249,7 @@ void FaultSimEngine::block_stuck(const PatternBlock& b,
                                  std::vector<std::uint64_t>& detect,
                                  const std::vector<std::uint8_t>* active) {
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   propagate_per_net(b, faults.size(), active, detect,
                     [&](std::size_t i, std::uint64_t* act) {
                       const StuckFault& f = faults[i];
@@ -328,8 +267,8 @@ void FaultSimEngine::block_transition(const PatternBlock& b,
                                       std::vector<std::uint64_t>& detect,
                                       const std::vector<std::uint8_t>* active) {
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi1(), W, good1_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   // The slow output holds its frame-1 value during capture: excited lanes
   // are exactly those where that differs from the frame-2 value.
   propagate_per_net(b, faults.size(), active, detect,
@@ -394,8 +333,8 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
                                std::vector<std::uint64_t>& detect,
                                const std::vector<std::uint8_t>* active) {
   const auto W = static_cast<std::size_t>(opt_.lane_words);
-  eval_goods(b.pi1(), good1_, prev_pi1_, goods1_valid_);
-  eval_goods(b.pi2(), good2_, prev_pi2_, goods2_valid_);
+  c_.eval_wide_into(b.pi1(), W, good1_);
+  c_.eval_wide_into(b.pi2(), W, good2_);
   // A gate's sites are adjacent in enumeration (and collapsed) order, so
   // its minterm words are rebuilt only when the gate changes.
   int minterm_gate = -1;
@@ -434,10 +373,10 @@ void FaultSimEngine::block_obd(const PatternBlock& b,
       });
 }
 
-template <typename Fault, typename BlockFn>
+template <typename Fault>
 FaultSimEngine::Campaign FaultSimEngine::run_campaign(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    bool drop_detected, BlockFn block_fn) {
+    bool drop_detected, BlockKernel<Fault> kernel) {
   Campaign result;
   result.first_test.assign(faults.size(), -1);
   std::vector<std::uint8_t> active(faults.size(), 1);
@@ -452,7 +391,7 @@ FaultSimEngine::Campaign FaultSimEngine::run_campaign(
     }
     if (block.size() == 0) break;
     for (std::uint8_t a : active) result.fault_block_evals += a;
-    block_fn(block, faults, detect, &active);
+    (this->*kernel)(block, faults, detect, &active);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       bool hit = false;
       for (std::size_t w = 0; w < W; ++w) {
@@ -479,180 +418,22 @@ FaultSimEngine::Campaign FaultSimEngine::run_campaign(
 FaultSimEngine::Campaign FaultSimEngine::campaign_stuck(
     const std::vector<InputVec>& patterns,
     const std::vector<StuckFault>& faults, bool drop_detected) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) { block_stuck(b, fl, det, act); });
+  return run_campaign(stuck_tests(patterns), faults, drop_detected,
+                      &FaultSimEngine::block_stuck);
 }
 
 FaultSimEngine::Campaign FaultSimEngine::campaign_transition(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults, bool drop_detected) {
   return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) {
-                        block_transition(b, fl, det, act);
-                      });
+                      &FaultSimEngine::block_transition);
 }
 
 FaultSimEngine::Campaign FaultSimEngine::campaign_obd(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<ObdFaultSite>& faults, bool drop_detected) {
   return run_campaign(tests, faults, drop_detected,
-                      [this](const PatternBlock& b, const auto& fl, auto& det,
-                             const auto* act) { block_obd(b, fl, det, act); });
-}
-
-// --- Fault-major kernels -----------------------------------------------------
-
-void FaultSimEngine::load_broadcast_goods(const TwoVectorTest& t,
-                                          bool need_frame1) {
-  const std::size_t n_pi = c_.inputs().size();
-  // Broadcast each vector bit across all 64 lanes of its PI word.
-  const auto bcast = [&](const InputVec& v) {
-    pi_bcast_.assign(n_pi, 0);
-    logic::for_each_set_bit(v, n_pi,
-                            [&](std::size_t pi) { pi_bcast_[pi] = ~0ull; });
-  };
-  if (need_frame1) {
-    bcast(t.v1);
-    c_.eval_words_into(pi_bcast_, good1_);
-  }
-  bcast(t.v2);
-  c_.eval_words_into(pi_bcast_, good2_);
-  // The broadcast path reshapes good1_/good2_ to one word per net; any
-  // resident wide lanes are gone (a size check alone cannot tell at
-  // lane_words == 1, so invalidate explicitly).
-  reset_goods();
-}
-
-void FaultSimEngine::inject(NetId n, int lane, bool value) {
-  const auto s = static_cast<std::size_t>(n);
-  (value ? inj_set1_ : inj_set0_)[s] |= 1ull << lane;
-  inj_nets_.push_back(n);
-}
-
-void FaultSimEngine::clear_injections() {
-  for (NetId n : inj_nets_) {
-    inj_set0_[static_cast<std::size_t>(n)] = 0;
-    inj_set1_[static_cast<std::size_t>(n)] = 0;
-  }
-  inj_nets_.clear();
-}
-
-std::uint64_t FaultSimEngine::injected_diff() {
-  // pi_bcast_ still holds the frame-2 broadcast words from
-  // load_broadcast_goods; good2_ is the matching fault-free valuation.
-  ibad_.assign(c_.num_nets(), 0);
-  for (std::size_t i = 0; i < c_.inputs().size(); ++i)
-    ibad_[static_cast<std::size_t>(c_.inputs()[i])] = pi_bcast_[i];
-  // Forcing must also reach PI and undriven fault nets, which the gate loop
-  // below never writes.
-  for (NetId n : inj_nets_) {
-    const auto s = static_cast<std::size_t>(n);
-    ibad_[s] = (ibad_[s] | inj_set1_[s]) & ~inj_set0_[s];
-  }
-  std::uint64_t ins[8];
-  for (int g : c_.topo_order()) {
-    const auto& gate = c_.gate(g);
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = ibad_[static_cast<std::size_t>(gate.inputs[k])];
-    const auto o = static_cast<std::size_t>(gate.output);
-    // inj_set words are zero for untouched nets, so the mask application is
-    // branch-free identity almost everywhere.
-    ibad_[o] =
-        (logic::gate_eval_words(gate.type, ins) | inj_set1_[o]) & ~inj_set0_[o];
-  }
-  std::uint64_t diff = 0;
-  for (NetId po : c_.outputs()) {
-    const auto s = static_cast<std::size_t>(po);
-    diff |= ibad_[s] ^ good2_[s];
-  }
-  return diff;
-}
-
-void FaultSimEngine::test_stuck(const InputVec& pattern,
-                                const std::vector<StuckFault>& faults,
-                                const std::vector<int>& idx,
-                                std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods({pattern, pattern}, /*need_frame1=*/false);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t changed = 0;
-    for (int j = 0; j < n; ++j) {
-      const StuckFault& f = faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      // A lane whose forced value equals the good value is identity.
-      if (((good2_[static_cast<std::size_t>(f.net)] & 1u) != 0) == f.value)
-        continue;
-      changed |= 1ull << j;
-      inject(f.net, j, f.value);
-    }
-    if (changed) detect[w] = injected_diff() & changed;
-  }
-  clear_injections();
-}
-
-void FaultSimEngine::test_transition(const TwoVectorTest& t,
-                                     const std::vector<TransitionFault>& faults,
-                                     const std::vector<int>& idx,
-                                     std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods(t);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t excited = 0;
-    for (int j = 0; j < n; ++j) {
-      const TransitionFault& f =
-          faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      const bool o1 = good1_[static_cast<std::size_t>(f.net)] & 1u;
-      const bool o2 = good2_[static_cast<std::size_t>(f.net)] & 1u;
-      if (f.slow_to_rise ? !(!o1 && o2) : !(o1 && !o2)) continue;
-      excited |= 1ull << j;
-      // The slow output holds its frame-1 value during capture.
-      inject(f.net, j, o1);
-    }
-    if (excited) detect[w] = injected_diff() & excited;
-  }
-  clear_injections();
-}
-
-void FaultSimEngine::test_obd(const TwoVectorTest& t,
-                              const std::vector<ObdFaultSite>& faults,
-                              const std::vector<int>& idx,
-                              std::vector<std::uint64_t>& detect) {
-  load_broadcast_goods(t);
-  const std::size_t words = (idx.size() + 63) / 64;
-  detect.assign(words, 0);
-  for (std::size_t w = 0; w < words; ++w) {
-    const int n = static_cast<int>(std::min<std::size_t>(64, idx.size() - w * 64));
-    clear_injections();
-    std::uint64_t excited = 0;
-    for (int j = 0; j < n; ++j) {
-      const ObdFaultSite& f = faults[static_cast<std::size_t>(idx[w * 64 + j])];
-      const auto& g = c_.gate(f.gate_index);
-      if (!logic::is_primitive_cmos(g.type)) continue;
-      const auto& table = obd_table(g.type, f.transistor);
-      std::uint32_t lv1 = 0, lv2 = 0;
-      for (std::size_t k = 0; k < g.inputs.size(); ++k) {
-        const auto in = static_cast<std::size_t>(g.inputs[k]);
-        lv1 |= static_cast<std::uint32_t>(good1_[in] & 1u) << k;
-        lv2 |= static_cast<std::uint32_t>(good2_[in] & 1u) << k;
-      }
-      if (!((table[lv1] >> lv2) & 1u)) continue;
-      excited |= 1ull << j;
-      // Gross-delay: the excited gate output keeps its frame-1 value.
-      inject(g.output, j, good1_[static_cast<std::size_t>(g.output)] & 1u);
-    }
-    if (excited) detect[w] = injected_diff() & excited;
-  }
-  clear_injections();
+                      &FaultSimEngine::block_obd);
 }
 
 // --- X-aware (3-valued) detection --------------------------------------------
@@ -716,24 +497,6 @@ std::vector<bool> FaultSimEngine::definite_obd(
 
 // --- Scheduler ---------------------------------------------------------------
 
-const char* to_string(SimPacking p) {
-  switch (p) {
-    case SimPacking::kAuto: return "auto";
-    case SimPacking::kPatternMajor: return "pattern-major";
-    case SimPacking::kFaultMajor: return "fault-major";
-  }
-  return "?";
-}
-
-const char* to_string(DeltaGoods d) {
-  switch (d) {
-    case DeltaGoods::kOff: return "off";
-    case DeltaGoods::kOn: return "on";
-    case DeltaGoods::kAuto: return "auto";
-  }
-  return "?";
-}
-
 FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
     : c_(c), opt_(opt) {
   if (opt_.threads < 1) opt_.threads = 1;
@@ -745,8 +508,7 @@ FaultSimScheduler::FaultSimScheduler(const Circuit& c, SimOptions opt)
   engines_.reserve(static_cast<std::size_t>(opt_.threads));
   for (int w = 0; w < opt_.threads; ++w)
     engines_.push_back(std::make_unique<FaultSimEngine>(
-        c_, EngineOptions{.lane_words = opt_.lane_words,
-                          .delta_goods = opt_.delta_goods}));
+        c_, EngineOptions{.lane_words = opt_.lane_words}));
 }
 
 FaultSimScheduler::~FaultSimScheduler() = default;
@@ -767,20 +529,6 @@ SimStats FaultSimScheduler::stats() const {
   return s;
 }
 
-SimPacking FaultSimScheduler::resolve_packing(std::size_t n_tests,
-                                              std::size_t n_faults) const {
-  if (opt_.packing != SimPacking::kAuto) return opt_.packing;
-  if (n_tests <= PatternBlock::kLanes / 8 &&
-      n_faults >= static_cast<std::size_t>(PatternBlock::kLanes))
-    return SimPacking::kFaultMajor;
-  return SimPacking::kPatternMajor;
-}
-
-int FaultSimScheduler::workers_for(std::size_t jobs) const {
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), jobs));
-}
-
 namespace {
 
 /// Below this many gates x blocks x lane_words, thread spawn + round
@@ -792,7 +540,8 @@ constexpr std::size_t kSerialGateBlockThreshold = 8192;
 }  // namespace
 
 int FaultSimScheduler::pattern_workers(std::size_t n_blocks) const {
-  const int w = workers_for(n_blocks);
+  const int w = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(opt_.threads), n_blocks));
   // An explicit block_batch amortizes the round barrier over more blocks,
   // so the same gate/block/lane shape becomes worth threading earlier —
   // without the factor, batched campaign rounds on small circuits bounced
@@ -847,10 +596,10 @@ void run_workers(int n, const char* span_name, Job job) {
 
 }  // namespace
 
-template <typename Fault, typename BlockFn, typename TestFn>
+template <typename Fault>
 DetectionMatrix FaultSimScheduler::build_matrix(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    BlockFn block_fn, TestFn test_fn) {
+    FaultSimEngine::BlockKernel<Fault> kernel) {
   DetectionMatrix m;
   m.n_tests = tests.size();
   m.n_faults = faults.size();
@@ -859,78 +608,34 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   m.covered.assign(faults.size(), false);
   if (tests.empty() || faults.empty()) return m;
 
-  if (resolve_packing(tests.size(), faults.size()) == SimPacking::kFaultMajor) {
-    // Shard whole tests: each worker owns disjoint matrix rows, and the
-    // fault-major detect words *are* the row words.
-    std::vector<int> idx(faults.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::atomic<std::size_t> next{0};
-    run_workers(workers_for(tests.size()), "matrix", [&](int w) {
-      FaultSimEngine& e = engine(w);
-      std::vector<std::uint64_t> detect;
-      for (std::size_t t = next.fetch_add(1); t < tests.size();
-           t = next.fetch_add(1)) {
-        test_fn(e, tests[t], faults, idx, detect);
-        std::copy(detect.begin(), detect.end(),
-                  m.rows.begin() + static_cast<std::ptrdiff_t>(t * m.words_per_row));
-      }
-    });
-  } else {
-    // Shard whole blocks: block b owns rows [capacity * b, + size).
-    // With grey_order the blocks are formed from a (v1, v2)-sorted
-    // permutation of the tests — consecutive blocks then share far more PI
-    // lane bits, which is what delta good-eval feeds on — and each detected
-    // lane is scattered back through the permutation to its original row.
-    // A test's detection row never depends on its blockmates, so the matrix
-    // is bit-identical either way.
-    std::vector<std::size_t> order;
-    const std::vector<TwoVectorTest>* packed = &tests;
-    std::vector<TwoVectorTest> reordered;
-    if (opt_.grey_order && tests.size() > 1) {
-      order.resize(tests.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (auto c = tests[a].v1 <=> tests[b].v1; c != 0)
-                           return c < 0;
-                         return (tests[a].v2 <=> tests[b].v2) < 0;
-                       });
-      reordered.reserve(tests.size());
-      for (std::size_t t : order) reordered.push_back(tests[t]);
-      packed = &reordered;
-    }
-    const std::vector<PatternBlock> blocks =
-        PatternBlock::pack(c_, *packed, opt_.lane_words);
-    const auto W = static_cast<std::size_t>(opt_.lane_words);
-    const std::size_t capacity = W * 64;
-    std::atomic<std::size_t> next{0};
-    run_workers(pattern_workers(blocks.size()), "matrix", [&](int w) {
-      FaultSimEngine& e = engine(w);
-      std::vector<std::uint64_t> detect;
-      for (std::size_t b = next.fetch_add(1); b < blocks.size();
-           b = next.fetch_add(1)) {
-        block_fn(e, blocks[b], faults, detect);
-        const std::size_t base = b * capacity;
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-          const std::size_t fw = f >> 6;
-          const std::uint64_t fbit = 1ull << (f & 63);
-          for (std::size_t dw = 0; dw < W; ++dw) {
-            std::uint64_t word = detect[f * W + dw];
-            if (!word) continue;
-            const std::size_t wbase = base + dw * 64;
-            while (word) {
-              const auto lane =
-                  static_cast<std::size_t>(std::countr_zero(word));
-              word &= word - 1;
-              const std::size_t pos = wbase + lane;
-              const std::size_t row = order.empty() ? pos : order[pos];
-              m.rows[row * m.words_per_row + fw] |= fbit;
-            }
+  // Shard whole blocks: block b owns rows [capacity * b, + size).
+  const std::vector<PatternBlock> blocks =
+      PatternBlock::pack(c_, tests, opt_.lane_words);
+  const auto W = static_cast<std::size_t>(opt_.lane_words);
+  const std::size_t capacity = W * 64;
+  std::atomic<std::size_t> next{0};
+  run_workers(pattern_workers(blocks.size()), "matrix", [&](int w) {
+    FaultSimEngine& e = engine(w);
+    std::vector<std::uint64_t> detect;
+    for (std::size_t b = next.fetch_add(1); b < blocks.size();
+         b = next.fetch_add(1)) {
+      (e.*kernel)(blocks[b], faults, detect, nullptr);
+      const std::size_t base = b * capacity;
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        const std::size_t fw = f >> 6;
+        const std::uint64_t fbit = 1ull << (f & 63);
+        for (std::size_t dw = 0; dw < W; ++dw) {
+          std::uint64_t word = detect[f * W + dw];
+          const std::size_t wbase = base + dw * 64;
+          while (word) {
+            const auto lane = static_cast<std::size_t>(std::countr_zero(word));
+            word &= word - 1;
+            m.rows[(wbase + lane) * m.words_per_row + fw] |= fbit;
           }
         }
       }
-    });
-  }
+    }
+  });
 
   // OR-reduce the rows column-wise: one word per 64 faults instead of a
   // bit probe per (test, fault) pair.
@@ -948,54 +653,15 @@ DetectionMatrix FaultSimScheduler::build_matrix(
   return m;
 }
 
-template <typename Fault, typename BlockFn, typename TestFn>
+template <typename Fault>
 FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
     const std::vector<TwoVectorTest>& tests, const std::vector<Fault>& faults,
-    bool drop_detected, BlockFn block_fn, TestFn test_fn) {
+    bool drop_detected, FaultSimEngine::BlockKernel<Fault> kernel) {
   FaultSimEngine::Campaign r;
   r.first_test.assign(faults.size(), -1);
   if (tests.empty() || faults.empty()) return r;
 
-  const SimPacking pack = resolve_packing(tests.size(), faults.size());
-  if (pack == SimPacking::kFaultMajor) {
-    // Tests are inherently sequential under dropping; the 64-fault words of
-    // one test are the parallel axis, but at the shapes that select this
-    // packing (a handful of tests) the per-test work is too small to shard,
-    // so it runs inline on worker 0.
-    FaultSimEngine& e = engine(0);
-    std::vector<int> idx(faults.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::vector<std::uint64_t> detect;
-    std::vector<int> survivors;
-    for (std::size_t t = 0; t < tests.size() && !idx.empty(); ++t) {
-      r.fault_block_evals += static_cast<long long>((idx.size() + 63) / 64);
-      test_fn(e, tests[t], faults, idx, detect);
-      bool any = false;
-      for (std::size_t w = 0; w < detect.size(); ++w) {
-        std::uint64_t word = detect[w];
-        while (word) {
-          const int j = std::countr_zero(word);
-          word &= word - 1;
-          const auto f = static_cast<std::size_t>(idx[w * 64 + static_cast<std::size_t>(j)]);
-          if (r.first_test[f] < 0) {
-            r.first_test[f] = static_cast<int>(t);
-            ++r.detected;
-          }
-          any = true;
-        }
-      }
-      if (drop_detected && any) {
-        survivors.clear();
-        for (int f : idx)
-          if (r.first_test[static_cast<std::size_t>(f)] < 0)
-            survivors.push_back(f);
-        idx.swap(survivors);
-      }
-    }
-    return r;
-  }
-
-  // Pattern-major: rounds of `workers * batch` blocks against a frozen
+  // Rounds of `workers * batch` blocks against a frozen
   // active list, reconciled in block order — bit-identical to the
   // single-threaded drop campaign (first_test is the true first detection
   // either way). Worker w owns the round's contiguous slots
@@ -1057,16 +723,11 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
   run_workers(workers, "campaign", [&](int w) {
     auto& mine = detect[static_cast<std::size_t>(w)];
     while (!stop) {
-      // A worker's slice is contiguous within a round but jumps by
-      // round_cap blocks between rounds; dropping the resident good state
-      // at the boundary keeps the delta counters a pure function of the
-      // (workers, batch) shape instead of the jump distance.
-      engine(w).reset_goods();
       for (std::size_t j = 0; j < batch; ++j) {
         const std::size_t b =
             start + static_cast<std::size_t>(w) * batch + j;
         if (b < blocks.size())
-          block_fn(engine(w), blocks[b], faults, mine[j], &active);
+          (engine(w).*kernel)(blocks[b], faults, mine[j], &active);
       }
       sync.arrive_and_wait();
     }
@@ -1077,76 +738,41 @@ FaultSimEngine::Campaign FaultSimScheduler::run_campaign(
 DetectionMatrix FaultSimScheduler::matrix_stuck(
     const std::vector<InputVec>& patterns,
     const std::vector<StuckFault>& faults) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_stuck(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_stuck(t.v2, fl, idx, det); });
+  return build_matrix(stuck_tests(patterns), faults,
+                      &FaultSimEngine::block_stuck);
 }
 
 DetectionMatrix FaultSimScheduler::matrix_transition(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults) {
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_transition(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_transition(t, fl, idx, det); });
+  return build_matrix(tests, faults, &FaultSimEngine::block_transition);
 }
 
 DetectionMatrix FaultSimScheduler::matrix_obd(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<ObdFaultSite>& faults) {
-  return build_matrix(
-      tests, faults,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det) {
-        e.block_obd(b, fl, det);
-      },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_obd(t, fl, idx, det); });
+  return build_matrix(tests, faults, &FaultSimEngine::block_obd);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_stuck(
     const std::vector<InputVec>& patterns,
     const std::vector<StuckFault>& faults, bool drop_detected) {
-  std::vector<TwoVectorTest> tests;
-  tests.reserve(patterns.size());
-  for (const InputVec& p : patterns) tests.push_back({p, p});
-  return run_campaign(
-      tests, faults, drop_detected,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_stuck(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_stuck(t.v2, fl, idx, det); });
+  return run_campaign(stuck_tests(patterns), faults, drop_detected,
+                      &FaultSimEngine::block_stuck);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_transition(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<TransitionFault>& faults, bool drop_detected) {
-  return run_campaign(
-      tests, faults, drop_detected,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_transition(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_transition(t, fl, idx, det); });
+  return run_campaign(tests, faults, drop_detected,
+                      &FaultSimEngine::block_transition);
 }
 
 FaultSimEngine::Campaign FaultSimScheduler::campaign_obd(
     const std::vector<TwoVectorTest>& tests,
     const std::vector<ObdFaultSite>& faults, bool drop_detected) {
-  return run_campaign(
-      tests, faults, drop_detected,
-      [](FaultSimEngine& e, const PatternBlock& b, const auto& fl, auto& det,
-         const auto* act) { e.block_obd(b, fl, det, act); },
-      [](FaultSimEngine& e, const TwoVectorTest& t, const auto& fl,
-         const auto& idx, auto& det) { e.test_obd(t, fl, idx, det); });
+  return run_campaign(tests, faults, drop_detected,
+                      &FaultSimEngine::block_obd);
 }
 
 }  // namespace obd::atpg

@@ -22,21 +22,16 @@
 //     entries OR their products, so input-specific conditions cost a few
 //     word ops per 64 lanes instead of a topology walk;
 //   - campaigns optionally drop a fault from the active list at its first
-//     detection, so late blocks only pay for the hard remainder.
+//     detection, so late blocks only pay for the hard remainder;
+//   - FaultSimScheduler shards independent pattern blocks across a small
+//     std::thread pool with per-worker engines (scratch buffers and
+//     excitation tables are the only per-engine state). Fault dropping is
+//     reconciled in block order after each round, so campaign results are
+//     bit-identical to a single-threaded run at any thread count or lane
+//     width.
 //
-// Two additions layer on top:
-//
-//   - the complementary *fault-major* packing (test_stuck/test_transition/
-//     test_obd): 64 faults per word against one test, each word costing one
-//     full-circuit injected evaluation — the winning axis when the fault
-//     list dwarfs the test list (the OBD regime: one fault per transistor
-//     per polarity);
-//   - FaultSimScheduler: picks the packing per call shape and shards
-//     independent pattern blocks across a small std::thread pool with
-//     per-worker engines (scratch buffers and excitation tables are the
-//     only per-engine state). Fault dropping is reconciled in block order
-//     after each round, so campaign results are bit-identical to a
-//     single-threaded run at any thread count or packing.
+// Every call shape, a single test against thousands of OBD sites included,
+// runs through the pattern blocks: a one-test call is a one-lane block.
 //
 // The legacy entry points in faultsim.hpp are thin wrappers over the
 // scheduler, keeping every existing caller's API and semantics.
@@ -61,10 +56,6 @@ struct EngineMetricIds {
   obs::MetricId propagations;
   obs::MetricId frontier_events;
   obs::MetricId frontier_gate_evals;
-  obs::MetricId delta_good_evals;
-  obs::MetricId delta_full_fallbacks;
-  obs::MetricId delta_gate_evals;
-  obs::MetricId delta_changed_pis;
   static const EngineMetricIds& get();
 };
 
@@ -75,11 +66,6 @@ struct EngineOptions {
   /// kernels in logic/laneblock.hpp fuse them). Detection results are
   /// bit-identical at any width.
   int lane_words = 1;
-  /// Cross-block good-eval delta propagation (see atpg::DeltaGoods): keep
-  /// the previous block's good lanes resident and re-evaluate only the
-  /// fanout of the PIs whose lane words changed. Bit-identical to a full
-  /// eval in every mode.
-  DeltaGoods delta_goods = DeltaGoods::kOff;
 };
 
 /// Up to 64 * lane_words two-vector tests packed lane-per-test (stuck-at
@@ -134,10 +120,9 @@ class PatternBlock {
 };
 
 /// Detection matrix: row per test, bit-packed over the fault list (64
-/// faults per word). Built by the scheduler in either packing (pattern
-/// blocks fill 64 rows per engine call; fault-major fills one row word per
-/// injected evaluation); consumed directly by compaction, n-detect
-/// selection, and the diagnosis dictionary.
+/// faults per word). Built by the scheduler, one pattern block's rows per
+/// engine call; consumed directly by compaction, n-detect selection, and
+/// the diagnosis dictionary.
 struct DetectionMatrix {
   std::size_t n_tests = 0;
   std::size_t n_faults = 0;
@@ -178,22 +163,12 @@ class FaultSimEngine {
   /// Gates evaluated during propagation: exactly the gates with at least
   /// one changed input, each once.
   long long frontier_gate_evals() const { return *frontier_gate_evals_; }
-  /// Good evaluations served by the cross-block delta walk.
-  long long delta_good_evals() const { return *delta_good_evals_; }
-  /// Good evaluations that fell back to a full sweep (no resident state,
-  /// shape change, or the kAuto changed-PI threshold tripped).
-  long long delta_full_fallbacks() const { return *delta_full_fallbacks_; }
-
-  /// Drops the resident cross-block good state: the next good evaluation
-  /// runs the full sweep. The scheduler calls this at campaign batch
-  /// boundaries so per-round work stays deterministic per configuration.
-  void reset_goods() { goods1_valid_ = goods2_valid_ = false; }
 
   /// This engine's accumulation sheet (single-owner; merged by the
   /// scheduler in worker order).
   const obs::Sheet& metrics() const { return metrics_; }
 
-  // --- Block primitives (pattern-major) --------------------------------
+  // --- Block primitives -------------------------------------------------
   // Each fills `detect` (resized to faults.size() * lane_words) with
   // lane_words words per fault at [i * lane_words, +lane_words); bit k of
   // word w set = lane 64w + k of the block detects the fault. The block's
@@ -211,24 +186,11 @@ class FaultSimEngine {
                  std::vector<std::uint64_t>& detect,
                  const std::vector<std::uint8_t>* active = nullptr);
 
-  // --- Fault-packed primitives (fault-major) ---------------------------
-  // One test against an arbitrary subset of the fault list, 64 faults per
-  // word: detect (resized to ceil(idx.size()/64)) gets bit j of word w set
-  // when faults[idx[64w + j]] is detected. Each word costs one full-circuit
-  // evaluation with per-lane fault injection, independent of how many
-  // lanes are live — the complementary axis to the pattern blocks.
-
-  void test_stuck(const InputVec& pattern,
-                  const std::vector<StuckFault>& faults,
-                  const std::vector<int>& idx,
-                  std::vector<std::uint64_t>& detect);
-  void test_transition(const TwoVectorTest& t,
-                       const std::vector<TransitionFault>& faults,
-                       const std::vector<int>& idx,
-                       std::vector<std::uint64_t>& detect);
-  void test_obd(const TwoVectorTest& t, const std::vector<ObdFaultSite>& faults,
-                const std::vector<int>& idx,
-                std::vector<std::uint64_t>& detect);
+  /// Any of the three block kernels, for code generic over the fault model.
+  template <typename Fault>
+  using BlockKernel = void (FaultSimEngine::*)(
+      const PatternBlock&, const std::vector<Fault>&,
+      std::vector<std::uint64_t>&, const std::vector<std::uint8_t>*);
 
   // --- X-aware (3-valued) detection ------------------------------------
   /// Definite OBD detections under a partially-specified test, through
@@ -248,12 +210,9 @@ class FaultSimEngine {
   struct Campaign {
     std::vector<int> first_test;
     int detected = 0;
-    /// Work metric fault dropping shrinks. Pattern-major: (active fault x
-    /// block) pairs simulated (an upper bound on propagations, which count
-    /// excited nets, not faults).
-    /// Fault-major: 64-fault words simulated (an upper bound on injected
-    /// full-circuit evaluations: words with no excited lane short-circuit).
-    /// Not comparable across packings.
+    /// Work metric fault dropping shrinks: (active fault x block) pairs
+    /// simulated (an upper bound on propagations, which count excited nets,
+    /// not faults).
     long long fault_block_evals = 0;
   };
 
@@ -299,52 +258,24 @@ class FaultSimEngine {
   const std::array<std::uint16_t, 16>& obd_table(logic::GateType t,
                                                  const cells::TransistorRef& tr);
 
-  template <typename Fault, typename BlockFn>
+  template <typename Fault>
   Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
                         const std::vector<Fault>& faults, bool drop_detected,
-                        BlockFn block_fn);
+                        BlockKernel<Fault> kernel);
 
-  /// Good-circuit evaluation of one frame of a pattern block into `values`
-  /// (lane-strided, opt_.lane_words per net). With delta_goods enabled and
-  /// resident state from the previous block (`prev_pi` + `valid`), only the
-  /// fanout of the PIs whose lane words changed is re-evaluated — exactly
-  /// reproducing Circuit::eval_wide_into bit for bit. Falls back to the
-  /// full sweep on the first block, on shape changes, and (kAuto) when the
-  /// changed-PI fraction exceeds the fallback threshold.
-  void eval_goods(const std::vector<std::uint64_t>& pi_words,
-                  std::vector<std::uint64_t>& values,
-                  std::vector<std::uint64_t>& prev_pi, bool& valid);
-  /// The delta walk proper: writes the changed PIs' words (given as PI
-  /// indices) into the resident `values` and drains their fanout in place.
-  void delta_eval(const std::vector<std::uint64_t>& pi_words,
-                  std::vector<std::uint64_t>& values,
-                  const std::vector<int>& changed_pis);
   /// Flags net `n` changed and queues every gate reading it into the
   /// bucket of its logic level (once per gate, however many of its inputs
   /// change).
   void mark_changed(NetId n);
-  /// The one event-driven walk behind propagate() and delta_eval(): takes
-  /// the level buckets in ascending order and evaluates each queued gate
-  /// exactly once, reading changed inputs from `cur` and the rest from
-  /// `ref`. An output whose W words differ from `ref` is written to `cur`
-  /// and marked changed, queueing its readers at strictly higher levels;
-  /// with `diff`, changed POs also OR (cur ^ ref) into it. Gate reads are
-  /// counted into `evals`. Returns the number of outputs that changed and
-  /// leaves every changed flag cleared.
-  long long drain(const std::uint64_t* ref, std::uint64_t* cur,
-                  std::size_t W, std::uint64_t* diff, long long* evals);
-
-  /// Broadcast good valuations of both frames of `t` into good1_/good2_
-  /// (frame 1 skipped when `need_frame1` is false — the stuck-at kernel
-  /// reads only good2_).
-  void load_broadcast_goods(const TwoVectorTest& t, bool need_frame1 = true);
-  /// Registers lane `lane` of net `n` to be forced to `value` by the next
-  /// injected_diff(). Lanes of untouched nets keep the good value.
-  void inject(NetId n, int lane, bool value);
-  void clear_injections();
-  /// Full-circuit frame-2 evaluation with the registered injections; returns
-  /// the OR over POs of (faulty ^ good2_).
-  std::uint64_t injected_diff();
+  /// The event-driven walk behind propagate(): takes the level buckets in
+  /// ascending order and evaluates each queued gate exactly once, reading
+  /// changed inputs from `bad_` and the rest from `good`. An output whose W
+  /// words differ from `good` is written to `bad_` and marked changed,
+  /// queueing its readers at strictly higher levels; changed POs also OR
+  /// (bad ^ good) into `diff`. Returns the number of outputs that changed
+  /// and leaves every changed flag cleared.
+  long long drain(const std::uint64_t* good, std::size_t W,
+                  std::uint64_t* diff);
 
   const Circuit& c_;
   EngineOptions opt_;
@@ -357,14 +288,9 @@ class FaultSimEngine {
   long long* propagations_ = nullptr;
   long long* frontier_events_ = nullptr;
   long long* frontier_gate_evals_ = nullptr;
-  long long* delta_good_evals_ = nullptr;
-  long long* delta_full_fallbacks_ = nullptr;
-  long long* delta_gate_evals_ = nullptr;
   std::map<std::tuple<int, bool, int>, std::array<std::uint16_t, 16>>
       obd_tables_;
-  // Lane-strided per-net scratch (lane_words words per net for the block
-  // kernels; the fault-major kernels use the same buffers one word per
-  // net).
+  // Lane-strided per-net scratch (lane_words words per net).
   std::vector<std::uint64_t> good1_, good2_, bad_;
   // Propagation scratch: per-net changed flags with their reset list, the
   // level buckets of queued gates (a gate's readers sit at strictly higher
@@ -385,17 +311,6 @@ class FaultSimEngine {
   std::vector<std::uint64_t> net_act_, net_diff_;
   std::vector<NetId> excited_nets_, fault_net_;
   std::vector<std::uint64_t> minterms1_, minterms2_;
-  // Fault-major injection scratch: per-net forced-to-{0,1} lane masks, the
-  // touched-net reset list, and the faulty valuation buffer.
-  std::vector<std::uint64_t> inj_set0_, inj_set1_;
-  std::vector<NetId> inj_nets_;
-  std::vector<std::uint64_t> pi_bcast_, ibad_;
-  // Cross-block delta good-eval state: the previous block's PI words per
-  // frame, validity of the resident good1_/good2_ lanes, and the
-  // changed-PI scratch list.
-  std::vector<std::uint64_t> prev_pi1_, prev_pi2_;
-  bool goods1_valid_ = false, goods2_valid_ = false;
-  std::vector<int> changed_pis_;
 };
 
 /// Aggregated per-engine counters (summed over the scheduler's workers).
@@ -411,15 +326,15 @@ struct SimStats {
   long long frontier_gate_evals = 0;
 };
 
-/// Schedules fault-simulation calls over packing modes and a worker pool.
-/// (SimPacking/SimOptions live in patterns.hpp.)
+/// Schedules fault-simulation calls over a worker pool. (SimOptions lives
+/// in patterns.hpp.)
 ///
 /// Determinism contract: matrices and campaigns are bit-identical across
-/// packings, thread counts, and lane widths (the randomized oracle harness
-/// in tests/oracle_common.hpp enforces this against the legacy scalar
+/// thread counts and lane widths (the randomized oracle harness in
+/// tests/oracle_common.hpp enforces this against the legacy scalar
 /// simulators). Threads shard whole pattern blocks (matrix rows are
-/// disjoint per block) or whole tests (fault-major rows are disjoint per
-/// test); fault-dropping campaigns run rounds of `threads * block_batch`
+/// disjoint per block); fault-dropping campaigns run rounds of
+/// `threads * block_batch`
 /// blocks against a frozen active list and reconcile detections in block
 /// order between rounds, trading a little redundant tail work for exact
 /// equivalence. Small shapes (gates x blocks x lane_words below a measured
@@ -440,15 +355,7 @@ class FaultSimScheduler {
   /// fault-dropping campaigns redo tail work per round by design).
   obs::Sheet merged_metrics() const;
 
-  /// kAuto resolution for a call shape. Fault-major pays one full-circuit
-  /// evaluation per 64 faults per test; pattern-major at most one
-  /// propagation per excited net per 64 tests (shared by the net's faults)
-  /// plus a good evaluation per block — so the fault axis wins only when
-  /// the test list is a small fraction of one block and the fault list
-  /// spans words.
-  SimPacking resolve_packing(std::size_t n_tests, std::size_t n_faults) const;
-
-  /// Workers a pattern-major call with this many blocks actually uses:
+  /// Workers a call with this many blocks actually uses:
   /// min(threads, blocks), gated to 1 when gates x blocks x lane_words
   /// falls below a measured threshold — there the thread-spawn and round-
   /// barrier tax exceeds any parallel win, so the call runs inline.
@@ -478,17 +385,16 @@ class FaultSimScheduler {
       const std::vector<ObdFaultSite>& faults, bool drop_detected = true);
 
  private:
-  template <typename Fault, typename BlockFn, typename TestFn>
+  template <typename Fault>
   DetectionMatrix build_matrix(const std::vector<TwoVectorTest>& tests,
                                const std::vector<Fault>& faults,
-                               BlockFn block_fn, TestFn test_fn);
-  template <typename Fault, typename BlockFn, typename TestFn>
-  FaultSimEngine::Campaign run_campaign(const std::vector<TwoVectorTest>& tests,
-                                        const std::vector<Fault>& faults,
-                                        bool drop_detected, BlockFn block_fn,
-                                        TestFn test_fn);
+                               FaultSimEngine::BlockKernel<Fault> kernel);
+  template <typename Fault>
+  FaultSimEngine::Campaign run_campaign(
+      const std::vector<TwoVectorTest>& tests,
+      const std::vector<Fault>& faults, bool drop_detected,
+      FaultSimEngine::BlockKernel<Fault> kernel);
 
-  int workers_for(std::size_t jobs) const;
   FaultSimEngine& engine(int worker) { return *engines_[static_cast<std::size_t>(worker)]; }
 
   const Circuit& c_;

@@ -43,7 +43,7 @@ struct PodemOptions {
   int random_phase = 0;
   std::uint64_t random_phase_seed = 0x0bd5eedull;
   /// Scheduler configuration for the random-phase fault simulation
-  /// (threads + packing; results are bit-identical for any setting).
+  /// (threads + lanes; results are bit-identical for any setting).
   SimOptions sim;
 };
 

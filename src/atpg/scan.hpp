@@ -98,7 +98,7 @@ struct ScanCampaign {
 
 /// With opt.random_phase > 0, a broadside random-pattern phase runs first:
 /// the faults are block-simulated over the scan view against
-/// random_broadside_tests() with fault dropping (opt.sim workers/packing),
+/// random_broadside_tests() with fault dropping (opt.sim workers/lanes),
 /// detected faults skip the deterministic search, and each random test that
 /// first-detects some fault joins the campaign's test list. Core fault
 /// indices carry over to the scan view (gate order is preserved), and the

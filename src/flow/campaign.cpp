@@ -183,7 +183,6 @@ void init_report(const logic::SequentialCircuit& seq,
   r.model = opt.model;
   r.threads = opt.sim.threads;
   r.lanes = 64 * std::max(1, opt.sim.lane_words);
-  r.packing = to_string(opt.sim.packing);
   r.scan = !seq.flops().empty();
   r.flops = seq.flops().size();
   r.circuit = seq.core().name();
@@ -698,7 +697,7 @@ std::string report_json(const CampaignReport& r) {
                 static_cast<unsigned long long>(r.matrix_hash));
   j += "  \"sim\": {\"threads\": " + std::to_string(r.threads) +
        ", \"lanes\": " + std::to_string(r.lanes) +
-       ", \"packing\": \"" + r.packing + "\", \"fault_block_evals\": " +
+       ", \"fault_block_evals\": " +
        std::to_string(r.fault_block_evals) + ", \"matrix_hash\": \"" + hash +
        "\",\n          \"propagations\": " + std::to_string(r.propagations) +
        ", \"frontier_events\": " + std::to_string(r.frontier_events) +
@@ -868,9 +867,8 @@ void print_report(const CampaignReport& r) {
   std::snprintf(hash, sizeof hash, "0x%016llx",
                 static_cast<unsigned long long>(r.matrix_hash));
   t.add_row({"matrix hash", hash});
-  t.add_row({"threads / lanes / packing",
-             std::to_string(r.threads) + " / " + std::to_string(r.lanes) +
-                 " / " + r.packing});
+  t.add_row({"threads / lanes",
+             std::to_string(r.threads) + " / " + std::to_string(r.lanes)});
   if (r.propagations > 0)
     t.add_row({"frontier gate evals", std::to_string(r.frontier_gate_evals)});
   {

@@ -2,7 +2,7 @@
 // tool. One call chains everything the lower layers provide:
 //
 //   fault-list extraction -> structural collapse -> random-pattern
-//   fault-dropping prepass (FaultSimScheduler, threads/packing from
+//   fault-dropping prepass (FaultSimScheduler, threads/lanes from
 //   SimOptions) -> deterministic PODEM / two-frame top-off for the
 //   survivors -> detection-matrix build -> greedy compaction -> optional
 //   n-detect growth -> a machine-readable report.
@@ -12,7 +12,7 @@
 // two-vector machinery runs unchanged (enhanced-scan application).
 //
 // Determinism: everything is seeded, and the fault-simulation layer is
-// bit-identical across thread counts and packings, so two runs that differ
+// bit-identical across thread counts and lane widths, so two runs that differ
 // only in `sim.threads` produce byte-identical reports up to the wall-clock
 // fields — `matrix_hash` is the cheap cross-run witness.
 #pragma once
@@ -44,7 +44,7 @@ struct CampaignOptions {
   /// pins PI2 == PI1) and run the two-frame scan ATPG — OBD model only.
   /// Ignored for purely combinational designs.
   atpg::ScanMode scan_style = atpg::ScanMode::kEnhanced;
-  /// Threads / packing / lane width for every fault-sim call.
+  /// Threads / lane width for every fault-sim call.
   atpg::SimOptions sim;
   /// Random patterns (or two-vector pairs) in the fault-dropping prepass;
   /// 0 goes straight to the deterministic search.
@@ -206,7 +206,6 @@ struct CampaignReport {
   int threads = 1;
   /// Pattern lanes per block (64 * SimOptions::lane_words).
   int lanes = 64;
-  std::string packing;
 
   bool ok() const { return error.empty(); }
 };

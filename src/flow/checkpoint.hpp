@@ -132,8 +132,7 @@ std::string checkpoint_path(const std::string& dir, int shard_index);
 /// order — flops are the view's trailing pseudo-PIs/POs), the circuit
 /// name, and the options model, scan style, seed, prepass size, backtrack
 /// and time budgets, and shard count. Deliberately excludes the fault-sim
-/// options (threads, packing, lanes, delta-goods, grey order:
-/// bit-identical by the scheduler's contract), merge-time options
+/// options (threads, lanes: bit-identical by the scheduler's contract), merge-time options
 /// (compact, ndetect), and the SAT escalation options: a checkpoint taken
 /// at 1 thread resumes at 8, and a PODEM-only checkpoint resumes with
 /// --sat-escalate as a pure top-off over its recorded aborts.

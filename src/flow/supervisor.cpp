@@ -115,6 +115,28 @@ void stitch_trace_fragments(const SupervisorOptions& sup) {
 /// travel via environment so no argv quoting is needed.
 pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
                   int shard, int attempt) {
+  std::vector<std::string> args = shard_child_args(sup, opt, shard);
+  const pid_t pid = fork();
+  if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
+
+  if (!sup.inject_spec.empty())
+    setenv("FLOW_FAULT_INJECT", sup.inject_spec.c_str(), 1);
+  setenv("FLOW_SHARD_ATTEMPT", std::to_string(attempt).c_str(), 1);
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  execv(sup.child_exe.c_str(), argv.data());
+  std::_Exit(127);  // exec failed
+}
+
+#endif  // OBD_POSIX_SPAWN
+
+}  // namespace
+
+std::vector<std::string> shard_child_args(const SupervisorOptions& sup,
+                                          const CampaignOptions& opt,
+                                          int shard) {
   std::vector<std::string> args = {
       sup.child_exe,
       sup.circuit_path,
@@ -134,16 +156,14 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
       std::to_string(opt.max_backtracks),
       "--threads",
       std::to_string(opt.sim.threads),
+      "--lanes",
+      std::to_string(64 * std::max(1, opt.sim.lane_words)),
   };
   if (opt.podem_time_budget_s > 0.0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", opt.podem_time_budget_s);
     args.push_back("--podem-time");
     args.push_back(buf);
-  }
-  if (opt.sim.delta_goods != atpg::DeltaGoods::kOff) {
-    args.push_back("--delta-goods");
-    args.push_back(atpg::to_string(opt.sim.delta_goods));
   }
   if (opt.sat_escalate) {
     args.push_back("--sat-escalate");
@@ -161,24 +181,8 @@ pid_t spawn_shard(const SupervisorOptions& sup, const CampaignOptions& opt,
     std::snprintf(buf, sizeof buf, "%.17g", sup.progress_interval_s);
     args.push_back(buf);
   }
-
-  const pid_t pid = fork();
-  if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
-
-  if (!sup.inject_spec.empty())
-    setenv("FLOW_FAULT_INJECT", sup.inject_spec.c_str(), 1);
-  setenv("FLOW_SHARD_ATTEMPT", std::to_string(attempt).c_str(), 1);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  execv(sup.child_exe.c_str(), argv.data());
-  std::_Exit(127);  // exec failed
+  return args;
 }
-
-#endif  // OBD_POSIX_SPAWN
-
-}  // namespace
 
 std::string trace_fragment_path(const std::string& checkpoint_dir,
                                 int shard) {

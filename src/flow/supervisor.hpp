@@ -72,6 +72,14 @@ struct SupervisorOptions {
   double progress_interval_s = 1.0;
 };
 
+/// argv of one shard child process (argv[0] = sup.child_exe): the shard
+/// spec and checkpoint dir plus every option that changes its results or
+/// its speed (model, prepass size, seed, budgets, threads, lanes, SAT
+/// escalation, tracing, progress).
+std::vector<std::string> shard_child_args(const SupervisorOptions& sup,
+                                          const CampaignOptions& opt,
+                                          int shard);
+
 /// Conventional per-shard trace-fragment path under a checkpoint dir.
 std::string trace_fragment_path(const std::string& checkpoint_dir, int shard);
 

@@ -3,8 +3,8 @@
 // One reference, many implementations: the legacy scalar simulators
 // (one fault, one pattern, full-circuit evaluation — slow but obviously
 // correct) define the detection semantics; every engine configuration —
-// pattern-major blocks, fault-major packing, and the threaded scheduler at
-// 1/2/4 workers — must reproduce their DetectionMatrix bit for bit, and
+// lane widths, block batching, and the threaded scheduler at 1/2/4
+// workers — must reproduce their DetectionMatrix bit for bit, and
 // every campaign must agree on (first_test, detected) with the
 // single-threaded fault-dropping engine. Shared by test_faultsim_engine.cpp
 // and test_faultsim_scheduler.cpp.
@@ -34,37 +34,28 @@ inline std::vector<logic::Circuit> zoo() {
   return out;
 }
 
-/// Engine configurations swept against the legacy reference: threads x
-/// packing, then the wide LaneBlock bundles (lane widths 2/4/8 words x
-/// thread counts — lane_words rides along silently in fault-major, which
-/// packs faults per word), then explicit block batching (amortized round
-/// barriers in fault-dropping campaigns).
+/// Engine configurations swept against the legacy reference: thread
+/// counts, then the wide LaneBlock bundles (lane widths 2/4/8 words x
+/// thread counts), then explicit block batching (amortized round barriers
+/// in fault-dropping campaigns).
 inline std::vector<SimOptions> sweep_configs() {
-  return {
-      {.threads = 1, .packing = SimPacking::kPatternMajor},
-      {.threads = 1, .packing = SimPacking::kFaultMajor},
-      {.threads = 2, .packing = SimPacking::kPatternMajor},
-      {.threads = 4, .packing = SimPacking::kPatternMajor},
-      {.threads = 2, .packing = SimPacking::kFaultMajor},
-      {.threads = 4, .packing = SimPacking::kFaultMajor},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 8},
-      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 2},
-      {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4},
-      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4},
-      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 8},
-      {.threads = 2, .packing = SimPacking::kFaultMajor, .lane_words = 4},
-      {.threads = 2, .packing = SimPacking::kPatternMajor, .block_batch = 2},
-      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 2,
-       .block_batch = 3},
-      {.threads = 4, .packing = SimPacking::kPatternMajor, .lane_words = 4,
-       .block_batch = 2}};
+  return {{.threads = 1},
+          {.threads = 2},
+          {.threads = 4},
+          {.threads = 1, .lane_words = 2},
+          {.threads = 1, .lane_words = 4},
+          {.threads = 1, .lane_words = 8},
+          {.threads = 2, .lane_words = 2},
+          {.threads = 2, .lane_words = 4},
+          {.threads = 4, .lane_words = 4},
+          {.threads = 4, .lane_words = 8},
+          {.threads = 2, .block_batch = 2},
+          {.threads = 4, .lane_words = 2, .block_batch = 3},
+          {.threads = 4, .lane_words = 4, .block_batch = 2}};
 }
 
 inline std::string config_name(const SimOptions& o) {
-  std::string n = std::string(to_string(o.packing)) + "/" +
-                  std::to_string(o.threads) + "t/" +
+  std::string n = std::to_string(o.threads) + "t/" +
                   std::to_string(64 * (o.lane_words < 1 ? 1 : o.lane_words)) +
                   "l";
   if (o.block_batch > 0) n += "/b" + std::to_string(o.block_batch);
@@ -176,6 +167,31 @@ inline void sweep_campaigns(const logic::Circuit& c, int n_tests,
     const auto got_o = sched.campaign_obd(tests, of, drop);
     EXPECT_EQ(ref_o.first_test, got_o.first_test) << label << " obd";
     EXPECT_EQ(ref_o.detected, got_o.detected) << label << " obd";
+  }
+}
+
+/// The one-test simulate_* wrappers (one-lane blocks behind the scheduler)
+/// against the legacy scalar simulators, on every fault of every model,
+/// for `n_tests` random tests. One-test matrix_* calls are sweep_matrices
+/// with n_tests = 1.
+inline void sweep_wrappers(const logic::Circuit& c, int n_tests,
+                           std::uint64_t seed) {
+  const auto tests =
+      random_pairs(static_cast<int>(c.inputs().size()), n_tests, seed);
+  const auto sf = enumerate_stuck_faults(c);
+  const auto tf = enumerate_transition_faults(c);
+  const auto of = enumerate_obd_faults(c);
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const TwoVectorTest& tv = tests[t];
+    const std::string label = c.name() + " test " + std::to_string(t);
+    EXPECT_EQ(simulate_stuck_at(c, tv.v2, sf),
+              legacy::simulate_stuck_at(c, tv.v2, sf))
+        << label << " stuck";
+    EXPECT_EQ(simulate_transition(c, tv, tf),
+              legacy::simulate_transition(c, tv, tf))
+        << label << " transition";
+    EXPECT_EQ(simulate_obd(c, tv, of), legacy::simulate_obd(c, tv, of))
+        << label << " obd";
   }
 }
 

@@ -137,5 +137,18 @@ TEST(Diagnose, MoreTestsNeverHurtResolution) {
   EXPECT_GE(big.resolution() + 1e-12, small.resolution());
 }
 
+TEST(Diagnose, PruneUntestableDropsByIndex) {
+  const Circuit c = logic::c17();
+  const auto faults = enumerate_obd_faults(c);
+  ASSERT_GE(faults.size(), 4u);
+  const auto kept = prune_untestable(
+      faults, {1, 3, static_cast<std::uint32_t>(faults.size() + 7)});
+  ASSERT_EQ(kept.size(), faults.size() - 2);  // out-of-range index ignored
+  EXPECT_EQ(kept[0].gate_index, faults[0].gate_index);
+  EXPECT_EQ(kept[1].gate_index, faults[2].gate_index);
+  for (std::size_t i = 2; i < kept.size(); ++i)
+    EXPECT_EQ(kept[i].gate_index, faults[i + 2].gate_index);
+}
+
 }  // namespace
 }  // namespace obd::atpg

@@ -21,16 +21,14 @@ using logic::Circuit;
 
 std::vector<Circuit> zoo_circuits() { return oracle::zoo(); }
 
-TEST(FaultSimOracle, EnginePackingsMatchLegacyScalar) {
-  // Single-threaded packings only (the threaded sweep is owned by
+TEST(FaultSimOracle, EngineLaneWidthsMatchLegacyScalar) {
+  // Single-threaded only (the threaded sweep is owned by
   // test_faultsim_scheduler, so the zoo-wide matrix build runs once per
   // engine concern rather than twice in full), at every LaneBlock width.
-  const std::vector<SimOptions> configs = {
-      {.threads = 1, .packing = SimPacking::kPatternMajor},
-      {.threads = 1, .packing = SimPacking::kFaultMajor},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 2},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 4},
-      {.threads = 1, .packing = SimPacking::kPatternMajor, .lane_words = 8}};
+  const std::vector<SimOptions> configs = {{.threads = 1},
+                                           {.threads = 1, .lane_words = 2},
+                                           {.threads = 1, .lane_words = 4},
+                                           {.threads = 1, .lane_words = 8}};
   std::uint64_t seed = 0x0bd0007;
   for (const Circuit& c : zoo_circuits())
     oracle::sweep_matrices(c, 130, seed++, configs);
@@ -274,8 +272,8 @@ std::vector<std::uint64_t> obd_excitation(
 }
 
 /// What the single-fault calls of one fault kind produced, for the
-/// multi-fault check: each fault's detect words (fault-major, W per
-/// fault) and the net it excites in the block (kNoNet when none).
+/// multi-fault check: each fault's detect words (W per fault, in fault
+/// order) and the net it excites in the block (kNoNet when none).
 struct SingleCalls {
   std::vector<std::uint64_t> detect;
   std::vector<logic::NetId> excited_net;

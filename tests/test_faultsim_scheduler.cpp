@@ -1,9 +1,11 @@
-// FaultSimScheduler: packing-mode selection, thread sharding, deterministic
-// fault-drop reconciliation, and the X-aware (3-valued) detection path —
-// all pinned to the legacy scalar oracle by the randomized harness.
+// FaultSimScheduler: thread sharding, deterministic fault-drop
+// reconciliation, one-test call shapes, and the X-aware (3-valued)
+// detection path — all pinned to the legacy scalar oracle by the
+// randomized harness.
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
+#include "io/bench.hpp"
 #include "logic/zoo.hpp"
 #include "oracle_common.hpp"
 
@@ -12,7 +14,7 @@ namespace {
 
 using logic::Circuit;
 
-TEST(SchedulerOracle, MatricesBitIdenticalAcrossModesAndThreads) {
+TEST(SchedulerOracle, MatricesBitIdenticalAcrossLanesAndThreads) {
   std::uint64_t seed = 0x5c4ed001;
   for (const Circuit& c : oracle::zoo())
     oracle::sweep_matrices(c, 96, seed++);
@@ -29,29 +31,24 @@ TEST(SchedulerOracle, UndroppedCampaignsMatchSingleThreadedEngine) {
   oracle::sweep_campaigns(c, 150, 0x5c4ed003, /*drop=*/false);
 }
 
-TEST(SchedulerOracle, TinyTestListsExerciseFaultMajorPacking) {
-  // 1..8 tests select the fault axis under kAuto; equivalence must hold on
-  // partial trailing fault words too (faults % 64 != 0 everywhere here).
+TEST(SchedulerOracle, TinyTestListsMatchLegacy) {
+  // 1..8 tests fill only the low lanes of one block; equivalence must hold
+  // on partial trailing fault words too (faults % 64 != 0 everywhere here).
   std::uint64_t seed = 0x5c4ed004;
   for (const Circuit& c : oracle::zoo())
     for (int n_tests : {1, 3, 8}) oracle::sweep_matrices(c, n_tests, seed++);
 }
 
-TEST(Scheduler, AutoPackingFollowsCallShape) {
-  const Circuit c = logic::c17();
-  FaultSimScheduler sched(c);  // defaults: 1 thread, kAuto
-  // Few tests, many faults -> fault-major.
-  EXPECT_EQ(sched.resolve_packing(1, 64), SimPacking::kFaultMajor);
-  EXPECT_EQ(sched.resolve_packing(8, 500), SimPacking::kFaultMajor);
-  // A big test list always rides the pattern blocks.
-  EXPECT_EQ(sched.resolve_packing(9, 500), SimPacking::kPatternMajor);
-  EXPECT_EQ(sched.resolve_packing(512, 500), SimPacking::kPatternMajor);
-  // A tiny fault list is not worth a full-circuit injected eval per test.
-  EXPECT_EQ(sched.resolve_packing(1, 63), SimPacking::kPatternMajor);
-
-  FaultSimScheduler forced(c, {.threads = 1,
-                               .packing = SimPacking::kFaultMajor});
-  EXPECT_EQ(forced.resolve_packing(512, 1), SimPacking::kFaultMajor);
+TEST(SchedulerOracle, OneTestCallsMatchLegacy) {
+  // The zoo's one-test matrix_* calls run in TinyTestListsMatchLegacy.
+  std::uint64_t seed = 0x5c4ed008;
+  for (const Circuit& c : oracle::zoo()) oracle::sweep_wrappers(c, 6, seed++);
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c880.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  const Circuit c880 = logic::decompose_composites(p.circuit());
+  oracle::sweep_matrices(c880, 1, seed++);
+  oracle::sweep_wrappers(c880, 3, seed);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
@@ -65,8 +62,7 @@ TEST(Scheduler, ThreadCountDoesNotChangeDropWorkAccounting) {
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_obd(tests, faults, true);
   for (int threads : {1, 2, 4}) {
-    FaultSimScheduler sched(c, {.threads = threads,
-                                .packing = SimPacking::kPatternMajor});
+    FaultSimScheduler sched(c, {.threads = threads});
     const auto got = sched.campaign_obd(tests, faults, true);
     EXPECT_EQ(got.first_test, ref.first_test) << threads;
     EXPECT_EQ(got.detected, ref.detected) << threads;
@@ -81,22 +77,18 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   // scheduler runs inline regardless of the thread knob; past it the
   // requested workers engage (capped by the block count).
   const Circuit c = logic::c17();  // 6 gates: always sub-threshold
-  FaultSimScheduler sched(c, {.threads = 4,
-                              .packing = SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 4});
   EXPECT_EQ(sched.pattern_workers(4), 1);
   EXPECT_EQ(sched.pattern_workers(100), 1);
 
   const Circuit big = logic::array_multiplier(6);  // 444 gates
-  FaultSimScheduler bsched(big, {.threads = 4,
-                                 .packing = SimPacking::kPatternMajor});
+  FaultSimScheduler bsched(big, {.threads = 4});
   EXPECT_EQ(bsched.pattern_workers(64), 4);  // big shape: all 4 engage
   EXPECT_EQ(bsched.pattern_workers(8), 1);   // 444 x 8 < threshold: inline
 
   // Wide lanes raise the per-block work, so fewer blocks cross the gate —
   // and the block count still caps the workers past it.
-  FaultSimScheduler wsched(big, {.threads = 4,
-                                 .packing = SimPacking::kPatternMajor,
-                                 .lane_words = 8});
+  FaultSimScheduler wsched(big, {.threads = 4, .lane_words = 8});
   EXPECT_EQ(wsched.pattern_workers(8), 4);
   EXPECT_EQ(wsched.pattern_workers(3), 3);
   EXPECT_EQ(wsched.pattern_workers(2), 1);  // 444 x 2 x 8 is sub-threshold
@@ -105,10 +97,19 @@ TEST(Scheduler, SmallShapesAutoSerialize) {
   // over the auto pick everywhere.
   EXPECT_EQ(sched.resolve_batch(100, 1), 1u);
   EXPECT_GE(bsched.resolve_batch(64, 4), 1u);
-  FaultSimScheduler esched(big, {.threads = 4,
-                                 .packing = SimPacking::kPatternMajor,
-                                 .block_batch = 3});
+  FaultSimScheduler esched(big, {.threads = 4, .block_batch = 3});
   EXPECT_EQ(esched.resolve_batch(64, 4), 3u);
+}
+
+TEST(Scheduler, BatchAwareSerialThreshold) {
+  // The serial-threshold product must include the block batch: batched
+  // rounds do batch x blocks x gates of work, so a shape that is
+  // sub-threshold per block can still be worth fanning out.
+  const Circuit big = logic::array_multiplier(6);  // 444 gates
+  FaultSimScheduler plain(big, {.threads = 4});
+  EXPECT_EQ(plain.pattern_workers(8), 1);  // 444 x 8 x 1: sub-threshold
+  FaultSimScheduler batched(big, {.threads = 4, .block_batch = 4});
+  EXPECT_EQ(batched.pattern_workers(8), 4);  // 444 x 8 x 1 x 4 crosses it
 }
 
 TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
@@ -123,15 +124,11 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_obd(tests, faults, true);
   for (const SimOptions& o : std::vector<SimOptions>{
-           {.threads = 2, .packing = SimPacking::kPatternMajor,
-            .block_batch = 1},
-           {.threads = 2, .packing = SimPacking::kPatternMajor,
-            .block_batch = 2},
-           {.threads = 4, .packing = SimPacking::kPatternMajor,
-            .block_batch = 4},
-           {.threads = 4, .packing = SimPacking::kPatternMajor},  // auto batch
-           {.threads = 2, .packing = SimPacking::kPatternMajor, .lane_words = 4,
-            .block_batch = 2},  // wide lanes x batch
+           {.threads = 2, .block_batch = 1},
+           {.threads = 2, .block_batch = 2},
+           {.threads = 4, .block_batch = 4},
+           {.threads = 4},  // auto batch
+           {.threads = 2, .lane_words = 4, .block_batch = 2},  // wide x batch
        }) {
     FaultSimScheduler sched(c, o);
     ASSERT_GT(sched.pattern_workers(
@@ -151,7 +148,7 @@ TEST(Scheduler, BatchedRoundsMatchEngineAboveSerialThreshold) {
 TEST(Scheduler, EmptyShapes) {
   const Circuit c = logic::c17();
   const auto faults = enumerate_obd_faults(c);
-  FaultSimScheduler sched(c, {.threads = 4, .packing = SimPacking::kAuto});
+  FaultSimScheduler sched(c, {.threads = 4});
   const DetectionMatrix no_tests = sched.matrix_obd({}, faults);
   EXPECT_EQ(no_tests.n_tests, 0u);
   EXPECT_EQ(no_tests.covered_count, 0);
@@ -171,8 +168,7 @@ TEST(Scheduler, MoreThreadsThanBlocksIsFine) {
       random_pairs(static_cast<int>(c.inputs().size()), 30, 0x5c4ed006);
   FaultSimEngine engine(c);
   const auto ref = engine.campaign_transition(tests, faults, true);
-  FaultSimScheduler sched(c, {.threads = 16,
-                              .packing = SimPacking::kPatternMajor});
+  FaultSimScheduler sched(c, {.threads = 16});
   const auto got = sched.campaign_transition(tests, faults, true);
   EXPECT_EQ(got.first_test, ref.first_test);
 }

@@ -332,8 +332,7 @@ TEST(Determinism, MatrixIdenticalWithTracingOnOffAcrossThreads) {
   const auto tests =
       random_pairs(static_cast<int>(c.inputs().size()), 256, 0x0b5eed);
 
-  FaultSimScheduler ref(c, {.threads = 1,
-                            .packing = SimPacking::kPatternMajor});
+  FaultSimScheduler ref(c, {.threads = 1});
   const DetectionMatrix base = ref.matrix_obd(tests, faults);
   const Sheet ref_metrics = ref.merged_metrics();
   const std::vector<MetricValue> ref_snap = snapshot(ref_metrics);
@@ -342,8 +341,7 @@ TEST(Determinism, MatrixIdenticalWithTracingOnOffAcrossThreads) {
   for (const bool traced : {false, true}) {
     if (traced) Recorder::instance().enable(0, "determinism-test");
     for (const int threads : {1, 2, 4}) {
-      FaultSimScheduler sched(c, {.threads = threads,
-                                  .packing = SimPacking::kPatternMajor});
+      FaultSimScheduler sched(c, {.threads = threads});
       const DetectionMatrix m = sched.matrix_obd(tests, faults);
       EXPECT_EQ(m.rows, base.rows) << "threads=" << threads
                                    << " traced=" << traced;

@@ -112,6 +112,30 @@ TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC2670) {
   }
 }
 
+TEST_F(SupervisorTest, MergeIsBitIdenticalToOneShotC2670Obd) {
+  const io::BenchParseResult p = load("c2670.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.random_patterns = 256;
+  opt.max_backtracks = 5000;
+  const CampaignReport base = run_campaign(p.seq, opt);
+  ASSERT_TRUE(base.ok()) << base.error;
+  ASSERT_NE(base.matrix_hash, 0u);
+
+  for (const int shards : {1, 4}) {
+    SupervisorOptions sup;
+    sup.checkpoint_dir = fresh_dir("c2670_obd");
+    sup.shards = shards;
+    sup.in_process = true;
+    const SupervisorResult res = run_supervised_campaign(p.seq, opt, sup);
+    const std::string what = std::to_string(shards) + " shards";
+    ASSERT_TRUE(res.report.ok()) << what << ": " << res.report.error;
+    expect_matches_baseline(res.report, base, what);
+  }
+}
+
 // The OBD top-off configuration of the CI provable-coverage step: a tight
 // budget, so both frames, backtracks and aborts all feed the totals.
 TEST_F(SupervisorTest, PodemEffortTotalsMatchOneShotC2670Obd) {
@@ -547,6 +571,38 @@ TEST_F(SupervisorTest, ConfigurationErrorsAreDefinedStates) {
   ShardRunOptions empty_dir;
   EXPECT_EQ(run_campaign_shard(p.seq, opt, empty_dir).status,
             ShardRunStatus::kError);
+}
+
+// A child must simulate exactly as configured: results are bit-identical
+// at any thread count or lane width, so only the argv shows a dropped knob.
+TEST_F(SupervisorTest, ShardChildArgsForwardThreadsAndLanes) {
+  CampaignOptions opt;
+  opt.model = FaultModel::kObd;
+  opt.sim.threads = 3;
+  opt.sim.lane_words = 4;
+  SupervisorOptions sup;
+  sup.shards = 5;
+  sup.checkpoint_dir = "ck";
+  sup.child_exe = "obd_atpg";
+  sup.circuit_path = "c.bench";
+  const std::vector<std::string> args = shard_child_args(sup, opt, 2);
+  ASSERT_GE(args.size(), 2u);
+  EXPECT_EQ(args[0], "obd_atpg");
+  EXPECT_EQ(args[1], "c.bench");
+  const auto value_of = [](const std::vector<std::string>& argv,
+                           const std::string& flag) -> std::string {
+    for (std::size_t i = 0; i + 1 < argv.size(); ++i)
+      if (argv[i] == flag) return argv[i + 1];
+    return "<missing>";
+  };
+  EXPECT_EQ(value_of(args, "--shard"), "2/5");
+  EXPECT_EQ(value_of(args, "--checkpoint-dir"), "ck");
+  EXPECT_EQ(value_of(args, "--model"), "obd");
+  EXPECT_EQ(value_of(args, "--threads"), "3");
+  EXPECT_EQ(value_of(args, "--lanes"), "256");
+
+  opt.sim.lane_words = 1;
+  EXPECT_EQ(value_of(shard_child_args(sup, opt, 0), "--lanes"), "64");
 }
 
 // --- Subprocess supervision (the production path) ------------------------
