@@ -86,7 +86,9 @@ FaultSimEngine::FaultSimEngine(const Circuit& c, EngineOptions opt)
   minterms1_.assign(16 * W, 0);
   minterms2_.assign(16 * W, 0);
   for (NetId po : c.outputs()) po_mask_[static_cast<std::size_t>(po)] = 1;
-  buckets_.resize(static_cast<std::size_t>(c.depth()) + 1);
+  int depth = 0;
+  for (const int l : gate_level_) depth = std::max(depth, l);
+  buckets_.resize(static_cast<std::size_t>(depth) + 1);
 
   // Touch every engine id before caching slot pointers: slot() may grow
   // the slab, and only the last growth's pointers are stable.

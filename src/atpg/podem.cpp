@@ -5,73 +5,65 @@
 #include <limits>
 
 namespace obd::atpg {
-namespace {
 
 using logic::Gate;
-using logic::GateType;
 using logic::Tri;
 
-/// 3-valued evaluation from all-X primary inputs — the state every search
-/// starts from — with one net optionally forced (the faulty circuit).
-void eval3_forced(const Circuit& c, NetId forced_net, Tri forced_value,
-                  std::vector<Tri>* values) {
-  values->assign(c.num_nets(), Tri::kX);
-  for (const NetId n : c.inputs())
-    if (n == forced_net) (*values)[static_cast<std::size_t>(n)] = forced_value;
-  Tri ins[8];
-  for (int g : c.topo_order()) {
-    const Gate& gate = c.gate(g);
-    for (std::size_t k = 0; k < gate.inputs.size(); ++k)
-      ins[k] = (*values)[static_cast<std::size_t>(gate.inputs[k])];
-    (*values)[static_cast<std::size_t>(gate.output)] =
-        (gate.output == forced_net) ? forced_value
-                                    : logic::gate_eval3(gate.type, ins);
-  }
+PodemWorkspace::PodemWorkspace(const Circuit& c)
+    : c_(c),
+      level_(c.gate_levels()),
+      queued_(c.num_gates(), 0),
+      pi_of_net_(c.num_nets(), -1),
+      all_x_(c.eval3(std::vector<Tri>(c.inputs().size(), Tri::kX))),
+      good_(all_x_),
+      faulty_(all_x_),
+      seen_(c.num_gates(), 0) {
+  int depth = 0;
+  for (int l : level_) depth = std::max(depth, l);
+  buckets_.resize(static_cast<std::size_t>(depth) + 1);
+  for (std::size_t i = 0; i < c.inputs().size(); ++i)
+    pi_of_net_[static_cast<std::size_t>(c.inputs()[i])] = static_cast<int>(i);
 }
 
-/// One search. Good and faulty values are evaluated in full once, up front;
-/// after that every decision, flip, or pop touches one PI and re-implies
-/// only the gates its change reaches (through Circuit::fanout_of, in
-/// level order), logging each overwritten (good, faulty) pair on a trail.
-/// A decision remembers the trail length it started at, so undoing it is
-/// popping the trail back to that mark — no re-simulation. The values at
-/// every step are exactly what a full re-evaluation would give, so the
-/// decisions, verdicts, and effort counters are too.
-class Engine {
+namespace detail {
+
+/// One search over a workspace at rest in its all-X state. A fault is
+/// seeded by writing the forced net's faulty value and implying it through
+/// its fanout, the same level-ordered walk every decision takes; the seed's
+/// trail entries sit below the first decision's mark, so backtracking never
+/// undoes them. After that every decision, flip, or pop touches one PI and
+/// re-implies only the gates its change reaches (through
+/// Circuit::fanout_of, in level order), logging each overwritten (good,
+/// faulty) pair on the trail. A decision remembers the trail length it
+/// started at, so undoing it is popping the trail back to that mark — no
+/// re-simulation. The values at every step are exactly what a full
+/// re-evaluation would give, so the decisions, verdicts, and effort
+/// counters are too. The search ends by rewinding the whole trail, which
+/// leaves the workspace back at rest.
+class PodemEngine {
  public:
-  Engine(const Circuit& c, std::vector<NetConstraint> constraints,
-         std::optional<StuckFault> fault, bool require_propagation,
-         const PodemOptions& opt)
-      : c_(c),
-        constraints_(std::move(constraints)),
+  PodemEngine(PodemWorkspace& ws, const std::vector<NetConstraint>& constraints,
+              std::optional<StuckFault> fault, bool require_propagation,
+              const PodemOptions& opt)
+      : ws_(ws),
+        c_(ws.c_),
+        constraints_(constraints),
         fault_(fault),
         require_propagation_(require_propagation),
-        opt_(opt),
-        level_(c.gate_levels()),
-        queued_(c.num_gates(), 0),
-        pi_of_net_(c.num_nets(), -1) {
+        opt_(opt) {
     if (opt_.time_budget_s > 0.0)
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(opt_.time_budget_s));
-    int depth = 0;
-    for (int l : level_) depth = std::max(depth, l);
-    buckets_.resize(static_cast<std::size_t>(depth) + 1);
-    for (std::size_t i = 0; i < c.inputs().size(); ++i)
-      pi_of_net_[static_cast<std::size_t>(c.inputs()[i])] =
-          static_cast<int>(i);
+    ws_.decisions_.clear();
+    ws_.cone_.clear();
     if (fault_ && require_propagation_) collect_fault_cone();
   }
 
   PodemResult run() {
     PodemResult result;
     ++implications_;
-    eval3_forced(c_, logic::kNoNet, Tri::kX, &good_);
-    if (fault_) {
-      eval3_forced(c_, fault_->net, logic::tri_of(fault_->value), &faulty_);
-    } else {
-      faulty_ = good_;
-    }
+    if (fault_) seed_fault();
     for (;;) {
       if (conflicted()) {
         if (!backtrack()) {
@@ -105,10 +97,11 @@ class Engine {
         }
         continue;
       }
-      decisions_.push_back(Decision{pi_choice->first, pi_choice->second,
-                                    false, trail_.size()});
+      ws_.decisions_.push_back(PodemWorkspace::Decision{
+          pi_choice->first, pi_choice->second, false, ws_.trail_.size()});
       assign(pi_choice->first, logic::tri_of(pi_choice->second));
     }
+    undo_to(0);
     if (result.status == PodemStatus::kAborted) result.reason = reason_;
     result.backtracks = backtracks_;
     result.implications = implications_;
@@ -116,36 +109,33 @@ class Engine {
   }
 
  private:
-  struct Decision {
-    std::size_t pi;
-    bool value;
-    bool flipped;
-    std::size_t mark;  ///< trail length before this decision was implied
-  };
-
-  /// A net's values before an implication overwrote them.
-  struct TrailEntry {
-    NetId net;
-    Tri good;
-    Tri faulty;
-  };
-
   /// Gates in the fault net's transitive fanout, by ascending index: the
   /// only gates that can ever hold a differing input.
   void collect_fault_cone() {
-    std::vector<char> seen(c_.num_gates(), 0);
-    std::vector<NetId> stack{fault_->net};
+    std::vector<int>& cone = ws_.cone_;
+    std::vector<NetId>& stack = ws_.stack_;
+    stack.assign(1, fault_->net);
     while (!stack.empty()) {
       const NetId n = stack.back();
       stack.pop_back();
       for (int gi : c_.fanout_of(n)) {
-        if (seen[static_cast<std::size_t>(gi)]) continue;
-        seen[static_cast<std::size_t>(gi)] = 1;
-        cone_.push_back(gi);
+        if (ws_.seen_[static_cast<std::size_t>(gi)]) continue;
+        ws_.seen_[static_cast<std::size_t>(gi)] = 1;
+        cone.push_back(gi);
         stack.push_back(c_.gate(gi).output);
       }
     }
-    std::sort(cone_.begin(), cone_.end());
+    for (const int gi : cone) ws_.seen_[static_cast<std::size_t>(gi)] = 0;
+    std::sort(cone.begin(), cone.end());
+  }
+
+  /// Writes the fault into the faulty copy of the all-X state and implies
+  /// it through its fanout: what a full faulty evaluation from all-X PIs
+  /// would give, touching only the nets that differ.
+  void seed_fault() {
+    const NetId n = fault_->net;
+    set_net(n, good_of(n), logic::tri_of(fault_->value));
+    drain();
   }
 
   /// Sets PI `i` and implies the change through its fanout: one
@@ -154,12 +144,17 @@ class Engine {
     ++implications_;
     const NetId n = c_.inputs()[i];
     set_net(n, v, fault_ && n == fault_->net ? faulty_of(n) : v);
+    drain();
+  }
+
+  /// Re-evaluates the queued gates in level order.
+  void drain() {
     for (int l = lo_; l <= hi_; ++l) {
-      std::vector<int>& bucket = buckets_[static_cast<std::size_t>(l)];
+      std::vector<int>& bucket = ws_.buckets_[static_cast<std::size_t>(l)];
       // Fanout gates sit at strictly higher levels, so this bucket does
       // not grow while it is being drained.
       for (const int gi : bucket) {
-        queued_[static_cast<std::size_t>(gi)] = 0;
+        ws_.queued_[static_cast<std::size_t>(gi)] = 0;
         eval_gate(gi);
       }
       bucket.clear();
@@ -189,15 +184,17 @@ class Engine {
   /// the readers when either value changes.
   void set_net(NetId n, Tri g, Tri f) {
     const auto idx = static_cast<std::size_t>(n);
-    if (good_[idx] == g && faulty_[idx] == f) return;
-    trail_.push_back(TrailEntry{n, good_[idx], faulty_[idx]});
-    good_[idx] = g;
-    faulty_[idx] = f;
+    Tri& good = ws_.good_[idx];
+    Tri& faulty = ws_.faulty_[idx];
+    if (good == g && faulty == f) return;
+    ws_.trail_.push_back(PodemWorkspace::TrailEntry{n, good, faulty});
+    good = g;
+    faulty = f;
     for (int gi : c_.fanout_of(n)) {
-      if (queued_[static_cast<std::size_t>(gi)]) continue;
-      queued_[static_cast<std::size_t>(gi)] = 1;
-      const int l = level_[static_cast<std::size_t>(gi)];
-      buckets_[static_cast<std::size_t>(l)].push_back(gi);
+      if (ws_.queued_[static_cast<std::size_t>(gi)]) continue;
+      ws_.queued_[static_cast<std::size_t>(gi)] = 1;
+      const int l = ws_.level_[static_cast<std::size_t>(gi)];
+      ws_.buckets_[static_cast<std::size_t>(l)].push_back(gi);
       lo_ = std::min(lo_, l);
       hi_ = std::max(hi_, l);
     }
@@ -205,16 +202,19 @@ class Engine {
 
   /// Restores every net written since the trail had `mark` entries.
   void undo_to(std::size_t mark) {
-    while (trail_.size() > mark) {
-      const TrailEntry& e = trail_.back();
-      good_[static_cast<std::size_t>(e.net)] = e.good;
-      faulty_[static_cast<std::size_t>(e.net)] = e.faulty;
-      trail_.pop_back();
+    std::vector<PodemWorkspace::TrailEntry>& trail = ws_.trail_;
+    while (trail.size() > mark) {
+      const PodemWorkspace::TrailEntry& e = trail.back();
+      ws_.good_[static_cast<std::size_t>(e.net)] = e.good;
+      ws_.faulty_[static_cast<std::size_t>(e.net)] = e.faulty;
+      trail.pop_back();
     }
   }
 
-  Tri good_of(NetId n) const { return good_[static_cast<std::size_t>(n)]; }
-  Tri faulty_of(NetId n) const { return faulty_[static_cast<std::size_t>(n)]; }
+  Tri good_of(NetId n) const { return ws_.good_[static_cast<std::size_t>(n)]; }
+  Tri faulty_of(NetId n) const {
+    return ws_.faulty_[static_cast<std::size_t>(n)];
+  }
 
   /// Determined differing value (a D or D') on the net.
   bool diff(NetId n) const {
@@ -236,9 +236,10 @@ class Engine {
 
   /// D-frontier: gates with a differing input whose output is not yet
   /// fully determined-equal, by ascending gate index.
-  std::vector<int> d_frontier() const {
-    std::vector<int> out;
-    for (const int gi : cone_) {
+  const std::vector<int>& d_frontier() {
+    std::vector<int>& out = ws_.frontier_;
+    out.clear();
+    for (const int gi : ws_.cone_) {
       const Gate& g = c_.gate(gi);
       if (diff(g.output)) continue;
       const bool blocked = good_of(g.output) != Tri::kX &&
@@ -253,7 +254,7 @@ class Engine {
     return out;
   }
 
-  bool conflicted() const {
+  bool conflicted() {
     for (const auto& k : constraints_) {
       const Tri v = good_of(k.net);
       if (v != Tri::kX && v != logic::tri_of(k.value)) return true;
@@ -280,7 +281,7 @@ class Engine {
   }
 
   /// Next (net, value) goal.
-  std::optional<std::pair<NetId, bool>> pick_objective() const {
+  std::optional<std::pair<NetId, bool>> pick_objective() {
     for (const auto& k : constraints_)
       if (good_of(k.net) == Tri::kX) return std::make_pair(k.net, k.value);
     if (fault_ && good_of(fault_->net) == Tri::kX)
@@ -330,7 +331,7 @@ class Engine {
       const int drv = c_.driver_of(n);
       if (drv < 0) {
         // PI (or floating net: then it is not a PI and cannot be set).
-        const int pi = pi_of_net_[static_cast<std::size_t>(n)];
+        const int pi = ws_.pi_of_net_[static_cast<std::size_t>(n)];
         if (pi < 0) return std::nullopt;
         return std::make_pair(static_cast<std::size_t>(pi), v);
       }
@@ -376,8 +377,9 @@ class Engine {
   /// Undo is a trail rewind; the flip is one implication. Exhausting the
   /// tree counts one more implication, the reset to the all-X state.
   bool backtrack() {
-    while (!decisions_.empty()) {
-      Decision& d = decisions_.back();
+    std::vector<PodemWorkspace::Decision>& decisions = ws_.decisions_;
+    while (!decisions.empty()) {
+      PodemWorkspace::Decision& d = decisions.back();
       undo_to(d.mark);
       if (!d.flipped) {
         d.flipped = true;
@@ -398,7 +400,7 @@ class Engine {
         assign(d.pi, logic::tri_of(!d.value));
         return true;
       }
-      decisions_.pop_back();
+      decisions.pop_back();
     }
     ++implications_;
     return false;
@@ -419,22 +421,14 @@ class Engine {
     return v;
   }
 
+  PodemWorkspace& ws_;
   const Circuit& c_;
-  std::vector<NetConstraint> constraints_;
+  const std::vector<NetConstraint>& constraints_;
   std::optional<StuckFault> fault_;
   bool require_propagation_;
-  PodemOptions opt_;
-  std::vector<Tri> good_;
-  std::vector<Tri> faulty_;
-  std::vector<int> level_;                 ///< per gate (Circuit::gate_levels)
-  std::vector<std::vector<int>> buckets_;  ///< queued gates, by level
-  std::vector<char> queued_;               ///< per gate: in a bucket
+  const PodemOptions& opt_;
   int lo_ = std::numeric_limits<int>::max();  ///< lowest non-empty bucket
   int hi_ = 0;                                ///< highest non-empty bucket
-  std::vector<TrailEntry> trail_;
-  std::vector<int> pi_of_net_;  ///< PI index of a net, -1 if not a PI
-  std::vector<int> cone_;       ///< fault-net fanout gates, ascending
-  std::vector<Decision> decisions_;
   long backtracks_ = 0;
   long implications_ = 0;
   bool aborted_ = false;
@@ -442,27 +436,48 @@ class Engine {
   std::optional<std::chrono::steady_clock::time_point> deadline_;
 };
 
-}  // namespace
+}  // namespace detail
+
+PodemResult podem_stuck_at(PodemWorkspace& ws, const StuckFault& fault,
+                           const PodemOptions& opt) {
+  const std::vector<NetConstraint> none;
+  return detail::PodemEngine(ws, none, fault, /*require_propagation=*/true,
+                             opt)
+      .run();
+}
+
+PodemResult podem_justify(PodemWorkspace& ws,
+                          const std::vector<NetConstraint>& constraints,
+                          const PodemOptions& opt) {
+  return detail::PodemEngine(ws, constraints, std::nullopt, false, opt).run();
+}
+
+PodemResult podem_constrained_fault(
+    PodemWorkspace& ws, const std::vector<NetConstraint>& constraints,
+    NetId forced, bool forced_value, const PodemOptions& opt) {
+  return detail::PodemEngine(ws, constraints, StuckFault{forced, forced_value},
+                             /*require_propagation=*/true, opt)
+      .run();
+}
 
 PodemResult podem_stuck_at(const Circuit& c, const StuckFault& fault,
                            const PodemOptions& opt) {
-  Engine e(c, {}, fault, /*require_propagation=*/true, opt);
-  return e.run();
+  PodemWorkspace ws(c);
+  return podem_stuck_at(ws, fault, opt);
 }
 
 PodemResult podem_justify(const Circuit& c,
                           const std::vector<NetConstraint>& constraints,
                           const PodemOptions& opt) {
-  Engine e(c, constraints, std::nullopt, false, opt);
-  return e.run();
+  PodemWorkspace ws(c);
+  return podem_justify(ws, constraints, opt);
 }
 
 PodemResult podem_constrained_fault(
     const Circuit& c, const std::vector<NetConstraint>& constraints,
     NetId forced, bool forced_value, const PodemOptions& opt) {
-  Engine e(c, constraints, StuckFault{forced, forced_value},
-           /*require_propagation=*/true, opt);
-  return e.run();
+  PodemWorkspace ws(c);
+  return podem_constrained_fault(ws, constraints, forced, forced_value, opt);
 }
 
 }  // namespace obd::atpg

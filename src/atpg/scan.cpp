@@ -21,15 +21,24 @@ std::vector<NetConstraint> pin_gate_inputs(const Circuit& c, int gate_idx,
   return out;
 }
 
+/// The circuit a mode's searches run on: the scan view for enhanced scan,
+/// the two-frame unroll for the LOC styles.
+Circuit search_circuit(const SequentialCircuit& seq, ScanMode mode) {
+  if (mode == ScanMode::kEnhanced) return seq.scan_view();
+  return seq.unroll_two_frames(
+      /*share_pis=*/mode == ScanMode::kLaunchOnCaptureHeldPi);
+}
+
+/// `ws` is a workspace over the scan view.
 ScanObdResult generate_enhanced(const SequentialCircuit& seq,
-                                const ObdFaultSite& site,
+                                PodemWorkspace& ws, const ObdFaultSite& site,
                                 const PodemOptions& opt) {
   ScanObdResult result;
-  const Circuit sv = seq.scan_view();
   // scan_view preserves gate order, so the fault index carries over.
-  const TwoFrameResult r = generate_obd_test(sv, site, opt);
+  const TwoFrameResult r = generate_obd_test(ws, site, opt);
   result.status = r.status;
   result.backtracks = r.backtracks;
+  result.implications = r.implications;
   if (r.status != PodemStatus::kFound) return result;
   const std::size_t n_pi = seq.core().inputs().size();
   const std::size_t n_ff = seq.flops().size();
@@ -41,11 +50,12 @@ ScanObdResult generate_enhanced(const SequentialCircuit& seq,
   return result;
 }
 
-ScanObdResult generate_loc(const SequentialCircuit& seq,
+/// `ws` is a workspace over the two-frame unroll.
+ScanObdResult generate_loc(const SequentialCircuit& seq, PodemWorkspace& ws,
                            const ObdFaultSite& site, bool held_pi,
                            const PodemOptions& opt) {
   ScanObdResult result;
-  const Circuit u = seq.unroll_two_frames(/*share_pis=*/held_pi);
+  const Circuit& u = ws.circuit();
   const int g1 = seq.frame1_gate_index(site.gate_index);
   const int g2 = seq.frame2_gate_index(site.gate_index);
   const auto& core_gate = seq.core().gate(site.gate_index);
@@ -59,8 +69,9 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
     constraints.insert(constraints.end(), pins2.begin(), pins2.end());
     const bool old_out = topo->output(tv.v1);
     const PodemResult r = podem_constrained_fault(
-        u, constraints, u.gate(g2).output, old_out, opt);
+        ws, constraints, u.gate(g2).output, old_out, opt);
     result.backtracks += r.backtracks;
+    result.implications += r.implications;
     if (r.status == PodemStatus::kAborted) any_aborted = true;
     if (r.status != PodemStatus::kFound) continue;
 
@@ -94,6 +105,21 @@ ScanObdResult generate_loc(const SequentialCircuit& seq,
   return result;
 }
 
+/// `ws` is a workspace over search_circuit(seq, mode).
+ScanObdResult generate_in(const SequentialCircuit& seq, PodemWorkspace& ws,
+                          const ObdFaultSite& site, ScanMode mode,
+                          const PodemOptions& opt) {
+  switch (mode) {
+    case ScanMode::kEnhanced:
+      return generate_enhanced(seq, ws, site, opt);
+    case ScanMode::kLaunchOnCapture:
+      return generate_loc(seq, ws, site, /*held_pi=*/false, opt);
+    case ScanMode::kLaunchOnCaptureHeldPi:
+      return generate_loc(seq, ws, site, /*held_pi=*/true, opt);
+  }
+  return {};
+}
+
 }  // namespace
 
 const char* to_string(ScanMode m) {
@@ -108,15 +134,9 @@ const char* to_string(ScanMode m) {
 ScanObdResult generate_scan_obd_test(const SequentialCircuit& seq,
                                      const ObdFaultSite& site, ScanMode mode,
                                      const PodemOptions& opt) {
-  switch (mode) {
-    case ScanMode::kEnhanced:
-      return generate_enhanced(seq, site, opt);
-    case ScanMode::kLaunchOnCapture:
-      return generate_loc(seq, site, /*held_pi=*/false, opt);
-    case ScanMode::kLaunchOnCaptureHeldPi:
-      return generate_loc(seq, site, /*held_pi=*/true, opt);
-  }
-  return {};
+  const Circuit sc = search_circuit(seq, mode);
+  PodemWorkspace ws(sc);
+  return generate_in(seq, ws, site, mode, opt);
 }
 
 bool verify_scan_obd_test(const SequentialCircuit& seq,
@@ -223,9 +243,14 @@ ScanCampaign run_scan_obd_atpg(const SequentialCircuit& seq,
                            std::chrono::steady_clock::now() - t0)
                            .count();
   }
+  // One search circuit and one workspace serve every fault.
+  const Circuit sc = search_circuit(seq, mode);
+  PodemWorkspace ws(sc);
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (skip[i]) continue;
-    const ScanObdResult r = generate_scan_obd_test(seq, faults[i], mode, opt);
+    const ScanObdResult r = generate_in(seq, ws, faults[i], mode, opt);
+    c.backtracks += r.backtracks;
+    c.implications += r.implications;
     switch (r.status) {
       case PodemStatus::kFound:
         ++c.found;

@@ -44,9 +44,12 @@ struct ScanObdResult {
   PodemStatus status = PodemStatus::kUntestable;
   ScanObdTest test;
   long backtracks = 0;
+  long implications = 0;
 };
 
 /// Generates a scan OBD test for a fault on core gate `site.gate_index`.
+/// Builds the mode's search circuit (scan view or two-frame unroll) per
+/// call; run_scan_obd_atpg builds it once for the whole fault list.
 ScanObdResult generate_scan_obd_test(const logic::SequentialCircuit& seq,
                                      const ObdFaultSite& site, ScanMode mode,
                                      const PodemOptions& opt = {});
@@ -93,6 +96,9 @@ struct ScanCampaign {
   /// Wall-clock seconds spent in the random prepass (generation + fault
   /// simulation); campaign drivers report it separately from PODEM time.
   double random_seconds = 0.0;
+  /// PODEM effort summed over the deterministic searches.
+  long backtracks = 0;
+  long implications = 0;
   std::vector<ScanObdTest> tests;
 };
 

@@ -19,8 +19,9 @@ std::vector<NetConstraint> pin_gate_inputs(const Circuit& c, int gate_idx,
 
 }  // namespace
 
-TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
+TwoFrameResult generate_obd_test(PodemWorkspace& ws, const ObdFaultSite& site,
                                  const PodemOptions& opt) {
+  const Circuit& c = ws.circuit();
   TwoFrameResult result;
   const auto& g = c.gate(site.gate_index);
   const auto topo = logic::gate_topology(g.type);
@@ -38,7 +39,7 @@ TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
     // faulty circuit sees the gate output frozen at its frame-1 value.
     const bool old_out = topo->output(tv.v1);
     PodemResult f2 = podem_constrained_fault(
-        c, pin_gate_inputs(c, site.gate_index, tv.v2), g.output, old_out, opt);
+        ws, pin_gate_inputs(c, site.gate_index, tv.v2), g.output, old_out, opt);
     result.backtracks += f2.backtracks;
     result.implications += f2.implications;
     note_abort(f2);
@@ -46,7 +47,7 @@ TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
 
     // Frame 1: justify the excitation's initial vector.
     PodemResult f1 =
-        podem_justify(c, pin_gate_inputs(c, site.gate_index, tv.v1), opt);
+        podem_justify(ws, pin_gate_inputs(c, site.gate_index, tv.v1), opt);
     result.backtracks += f1.backtracks;
     result.implications += f1.implications;
     note_abort(f1);
@@ -62,7 +63,7 @@ TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
   return result;
 }
 
-TwoFrameResult generate_transition_test(const Circuit& c,
+TwoFrameResult generate_transition_test(PodemWorkspace& ws,
                                         const TransitionFault& fault,
                                         const PodemOptions& opt) {
   TwoFrameResult result;
@@ -70,7 +71,7 @@ TwoFrameResult generate_transition_test(const Circuit& c,
   // holds the old one; no input-specific constraint (classical model).
   const bool final_value = fault.slow_to_rise;
   PodemResult f2 =
-      podem_constrained_fault(c, {{fault.net, final_value}}, fault.net,
+      podem_constrained_fault(ws, {{fault.net, final_value}}, fault.net,
                               !final_value, opt);
   result.backtracks += f2.backtracks;
   result.implications += f2.implications;
@@ -79,7 +80,7 @@ TwoFrameResult generate_transition_test(const Circuit& c,
     result.reason = f2.reason;
     return result;
   }
-  PodemResult f1 = podem_justify(c, {{fault.net, !final_value}}, opt);
+  PodemResult f1 = podem_justify(ws, {{fault.net, !final_value}}, opt);
   result.backtracks += f1.backtracks;
   result.implications += f1.implications;
   if (f1.status != PodemStatus::kFound) {
@@ -91,6 +92,19 @@ TwoFrameResult generate_transition_test(const Circuit& c,
   result.test = TwoVectorTest{f1.vector.bits, f2.vector.bits};
   result.x_test = XTwoVectorTest{f1.vector, f2.vector};
   return result;
+}
+
+TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
+                                 const PodemOptions& opt) {
+  PodemWorkspace ws(c);
+  return generate_obd_test(ws, site, opt);
+}
+
+TwoFrameResult generate_transition_test(const Circuit& c,
+                                        const TransitionFault& fault,
+                                        const PodemOptions& opt) {
+  PodemWorkspace ws(c);
+  return generate_transition_test(ws, fault, opt);
 }
 
 namespace {
@@ -164,9 +178,10 @@ AtpgRun run_obd_atpg(const Circuit& c, const std::vector<ObdFaultSite>& faults,
       [&](FaultSimScheduler& s, const std::vector<TwoVectorTest>& tests) {
         return s.campaign_obd(tests, faults);
       });
+  PodemWorkspace ws(c);
   return run_all(faults, std::move(skip), std::move(run),
                  [&](const ObdFaultSite& f) {
-                   return generate_obd_test(c, f, opt);
+                   return generate_obd_test(ws, f, opt);
                  });
 }
 
@@ -179,9 +194,10 @@ AtpgRun run_transition_atpg(const Circuit& c,
       [&](FaultSimScheduler& s, const std::vector<TwoVectorTest>& tests) {
         return s.campaign_transition(tests, faults);
       });
+  PodemWorkspace ws(c);
   return run_all(faults, std::move(skip), std::move(run),
                  [&](const TransitionFault& f) {
-                   return generate_transition_test(c, f, opt);
+                   return generate_transition_test(ws, f, opt);
                  });
 }
 
@@ -199,9 +215,10 @@ AtpgRun run_stuck_at_atpg(const Circuit& c,
         for (std::size_t i = 0; i < ts.size(); ++i) patterns[i] = ts[i].v2;
         return s.campaign_stuck(patterns, faults);
       });
+  PodemWorkspace ws(c);
   return run_all(faults, std::move(skip), std::move(run),
                  [&](const StuckFault& f) {
-                   const PodemResult r = podem_stuck_at(c, f, opt);
+                   const PodemResult r = podem_stuck_at(ws, f, opt);
                    TwoFrameResult t;
                    t.status = r.status;
                    t.reason = r.reason;

@@ -34,11 +34,17 @@ struct TwoFrameResult {
   long implications = 0;
 };
 
-/// Generates a two-vector test for one OBD fault site.
+/// Generates a two-vector test for one OBD fault site. Both frames search
+/// in `ws` (a workspace over the circuit under test).
+TwoFrameResult generate_obd_test(PodemWorkspace& ws, const ObdFaultSite& site,
+                                 const PodemOptions& opt = {});
 TwoFrameResult generate_obd_test(const Circuit& c, const ObdFaultSite& site,
                                  const PodemOptions& opt = {});
 
 /// Generates a two-vector test for one classical transition fault.
+TwoFrameResult generate_transition_test(PodemWorkspace& ws,
+                                        const TransitionFault& fault,
+                                        const PodemOptions& opt = {});
 TwoFrameResult generate_transition_test(const Circuit& c,
                                         const TransitionFault& fault,
                                         const PodemOptions& opt = {});

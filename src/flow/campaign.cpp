@@ -130,6 +130,8 @@ void drive_loc_scan(const logic::SequentialCircuit& seq,
   r.tests_deterministic = sc.found - sc.random_found;
   r.untestable = sc.untestable;
   r.aborted = sc.aborted;
+  r.podem_implications = sc.implications;
+  r.podem_backtracks = sc.backtracks;
   r.fault_block_evals = sc.fault_block_evals;
   r.time.random_s = sc.random_seconds;
   r.time.atpg_s = seconds_since(t1) - sc.random_seconds;
@@ -303,10 +305,19 @@ struct ModelData {
   /// serves the whole campaign (or shard). Declared after `view` so the
   /// session's circuit reference outlives it.
   std::shared_ptr<sat::SatSession> session;
+  /// Lazily constructed on the first deterministic search, like the SAT
+  /// session, so make_context (and setup time) pays nothing for it. Every
+  /// search of the campaign (or shard) runs in it.
+  std::unique_ptr<PodemWorkspace> workspace;
 
   sat::SatSession& sat() {
     if (!session) session = std::make_shared<sat::SatSession>(view, satopt);
     return *session;
+  }
+
+  PodemWorkspace& podem() {
+    if (!workspace) workspace = std::make_unique<PodemWorkspace>(view);
+    return *workspace;
   }
 };
 
@@ -378,7 +389,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       return s.campaign_stuck(patterns_of(ts), select_reps(data->reps, subset));
     };
     ctx.generate = [data](std::uint32_t i) {
-      const PodemResult pr = podem_stuck_at(data->view, data->reps[i],
+      const PodemResult pr = podem_stuck_at(data->podem(), data->reps[i],
                                             data->popt);
       TwoFrameResult t;
       t.status = pr.status;
@@ -411,7 +422,8 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       return s.campaign_transition(ts, select_reps(data->reps, subset));
     };
     ctx.generate = [data](std::uint32_t i) {
-      return generate_transition_test(data->view, data->reps[i], data->popt);
+      return generate_transition_test(data->podem(), data->reps[i],
+                                      data->popt);
     };
     ctx.matrix = [data](FaultSimScheduler& s,
                         const std::vector<TwoVectorTest>& ts,
@@ -440,7 +452,7 @@ CampaignContext make_context(const logic::SequentialCircuit& seq,
       return s.campaign_obd(ts, select_reps(data->reps, subset));
     };
     ctx.generate = [data](std::uint32_t i) {
-      return generate_obd_test(data->view, data->reps[i], data->popt);
+      return generate_obd_test(data->podem(), data->reps[i], data->popt);
     };
     ctx.matrix = [data](FaultSimScheduler& s,
                         const std::vector<TwoVectorTest>& ts,

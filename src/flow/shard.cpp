@@ -75,6 +75,8 @@ struct FlowMetricIds {
   obs::MetricId podem_found;
   obs::MetricId podem_untestable;
   obs::MetricId podem_aborted;
+  obs::MetricId podem_backtracks_per_fault;
+  obs::MetricId podem_implications_per_fault;
   obs::MetricId sat_conflicts;
   obs::MetricId sat_decisions;
   obs::MetricId sat_restarts;
@@ -92,6 +94,10 @@ struct FlowMetricIds {
       m.podem_found = obs::counter("atpg.podem_found");
       m.podem_untestable = obs::counter("atpg.podem_untestable");
       m.podem_aborted = obs::counter("atpg.podem_aborted");
+      m.podem_backtracks_per_fault =
+          obs::histogram("atpg.podem_backtracks_per_fault");
+      m.podem_implications_per_fault =
+          obs::histogram("atpg.podem_implications_per_fault");
       m.sat_conflicts = obs::counter("sat.conflicts");
       m.sat_decisions = obs::counter("sat.decisions");
       m.sat_restarts = obs::counter("sat.restarts");
@@ -291,6 +297,10 @@ ExecutorRun run_executor(const CampaignContext& ctx, const CampaignOptions& opt,
         const TwoFrameResult res = ctx.generate(global_of(j));
         s.podem_implications += res.implications;
         s.podem_backtracks += res.backtracks;
+        m.observe(mids.podem_backtracks_per_fault,
+                  static_cast<std::uint64_t>(res.backtracks));
+        m.observe(mids.podem_implications_per_fault,
+                  static_cast<std::uint64_t>(res.implications));
         switch (res.status) {
           case PodemStatus::kFound:
             s.status[j] = FaultStatus::kTestFound;

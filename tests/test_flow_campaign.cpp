@@ -141,6 +141,14 @@ TEST(FlowCampaign, LocScanStyleRunsObdCampaign) {
   ASSERT_TRUE(loc4.ok()) << loc4.error;
   EXPECT_EQ(loc4.matrix_hash, loc.matrix_hash);
   EXPECT_EQ(loc4.detected, loc.detected);
+
+  // Without a prepass every fault reaches PODEM, and the report carries
+  // the searches' effort.
+  opt.random_patterns = 0;
+  const CampaignReport det = run_campaign(seq, opt);
+  ASSERT_TRUE(det.ok()) << det.error;
+  EXPECT_GT(det.tests_deterministic, 0);
+  EXPECT_GT(det.podem_implications, 0);
 }
 
 TEST(FlowCampaign, LocScanStyleRejectsNonObdModels) {

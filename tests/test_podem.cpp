@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -368,6 +370,98 @@ TEST(Podem, ObdSearchPinnedOnC880) {
   EXPECT_GT(found, 0);
   EXPECT_EQ(h, 0x71954f7cd720d2d6ull) << std::hex << h << " over " << std::dec
                        << reps.size() << " reps";
+}
+
+/// Everything a search reports (status, effort, vector bits and care
+/// masks), flattened into words for comparison.
+std::vector<std::uint64_t> outcome(
+    PodemStatus status, long backtracks, long implications,
+    std::initializer_list<const TestVector*> vs) {
+  std::vector<std::uint64_t> out{static_cast<std::uint64_t>(status),
+                                 static_cast<std::uint64_t>(backtracks),
+                                 static_cast<std::uint64_t>(implications)};
+  for (const TestVector* v : vs)
+    for (const logic::InputVec* w : {&v->bits, &v->care_mask})
+      for (std::size_t k = 0; k < w->nwords(); ++k) out.push_back(w->word(k));
+  return out;
+}
+
+std::vector<std::uint64_t> outcome(const PodemResult& r) {
+  return outcome(r.status, r.backtracks, r.implications, {&r.vector});
+}
+
+std::vector<std::uint64_t> outcome(const TwoFrameResult& r) {
+  return outcome(r.status, r.backtracks, r.implications,
+                 {&r.x_test.v1, &r.x_test.v2});
+}
+
+/// A reused workspace must be invisible: every search leaves it in its
+/// all-X state, and reports bit for bit what a fresh workspace would.
+class WorkspaceIdentity {
+ public:
+  explicit WorkspaceIdentity(const Circuit& c) : ws_(c) {}
+
+  /// `shared` ran in ws(), `fresh` in a workspace of its own.
+  template <typename Result>
+  void check(const Result& shared, const Result& fresh,
+             const std::string& what) {
+    EXPECT_EQ(ws_.good(), ws_.all_x()) << what;
+    EXPECT_EQ(ws_.faulty(), ws_.all_x()) << what;
+    EXPECT_EQ(outcome(shared), outcome(fresh)) << what;
+    ++checks_;
+  }
+
+  PodemWorkspace& ws() { return ws_; }
+  int checks() const { return checks_; }
+
+ private:
+  PodemWorkspace ws_;
+  int checks_ = 0;
+};
+
+/// One workspace serves every c880 OBD representative's two-frame search,
+/// interleaved with stuck-at searches over c880's collapsed stuck faults,
+/// and each gate's pinned frame-2 / frame-1 searches on their own. Budgets
+/// are the campaign's, so aborted searches are among them.
+TEST(PodemWorkspace, ReuseMatchesFreshWorkspaceOnC880) {
+  const io::BenchParseResult p =
+      io::load_bench_file(std::string(OBD_CORPUS_DIR) + "/c880.bench");
+  ASSERT_TRUE(p.ok) << p.error;
+  const Circuit c = logic::decompose_composites(p.circuit());
+  const auto obd =
+      collapse_obd_faults(c, enumerate_obd_faults(c)).representatives;
+  const auto stuck =
+      collapse_stuck_faults(c, enumerate_stuck_faults(c)).representatives;
+  PodemOptions opt;
+  opt.max_backtracks = 20;
+  WorkspaceIdentity id(c);
+  EXPECT_EQ(id.ws().all_x(),
+            c.eval3(std::vector<logic::Tri>(c.inputs().size(),
+                                            logic::Tri::kX)));
+
+  const std::size_t n = std::max(obd.size(), stuck.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < obd.size())
+      id.check(generate_obd_test(id.ws(), obd[i], opt),
+               generate_obd_test(c, obd[i], opt), fault_name(c, obd[i]));
+    if (i < stuck.size())
+      id.check(podem_stuck_at(id.ws(), stuck[i], opt),
+               podem_stuck_at(c, stuck[i], opt), fault_name(c, stuck[i]));
+  }
+
+  util::Prng prng(880);
+  for (std::size_t gi = 0; gi < c.num_gates(); gi += 3) {
+    const logic::Gate& g = c.gate(static_cast<int>(gi));
+    std::vector<NetConstraint> ks;
+    for (NetId in : g.inputs) ks.push_back({in, prng.next_below(2) != 0});
+    const bool forced = prng.next_below(2) != 0;
+    id.check(podem_constrained_fault(id.ws(), ks, g.output, forced, opt),
+             podem_constrained_fault(c, ks, g.output, forced, opt),
+             "frame 2 at " + g.name);
+    id.check(podem_justify(id.ws(), ks, opt), podem_justify(c, ks, opt),
+             "frame 1 at " + g.name);
+  }
+  EXPECT_GT(id.checks(), 1000);
 }
 
 }  // namespace

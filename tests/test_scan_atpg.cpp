@@ -170,6 +170,34 @@ TEST(ScanAtpg, PiFedFlopStateIsMachineResponseUnderHeldPi) {
   }
 }
 
+TEST_P(ScanModeTest, CampaignMatchesPerFaultSearches) {
+  // The campaign builds its search circuit and PODEM workspace once; every
+  // result, and the effort totals, must equal fresh per-fault searches.
+  const SequentialCircuit seq = logic::lfsr_like_machine(4);
+  const ScanMode mode = GetParam();
+  const auto faults = core_faults(seq);
+  const ScanCampaign c = run_scan_obd_atpg(seq, faults, mode);
+  int found = 0;
+  long backtracks = 0;
+  long implications = 0;
+  for (const auto& f : faults) {
+    const ScanObdResult r = generate_scan_obd_test(seq, f, mode);
+    backtracks += r.backtracks;
+    implications += r.implications;
+    if (r.status != PodemStatus::kFound) continue;
+    ASSERT_LT(static_cast<std::size_t>(found), c.tests.size());
+    const ScanObdTest& t = c.tests[static_cast<std::size_t>(found++)];
+    EXPECT_EQ(t.state1, r.test.state1) << fault_name(seq.core(), f);
+    EXPECT_EQ(t.pi1, r.test.pi1) << fault_name(seq.core(), f);
+    EXPECT_EQ(t.pi2, r.test.pi2) << fault_name(seq.core(), f);
+    EXPECT_EQ(t.state2, r.test.state2) << fault_name(seq.core(), f);
+  }
+  EXPECT_EQ(c.found, found);
+  EXPECT_EQ(c.backtracks, backtracks);
+  EXPECT_EQ(c.implications, implications);
+  EXPECT_GT(c.implications, 0);
+}
+
 TEST_P(ScanModeTest, RandomPrepassDropsNoCoverage) {
   // The broadside random-pattern phase runs with fault dropping; it must
   // detect exactly what an undropped simulation of the same tests detects,
